@@ -4,9 +4,10 @@ Subcommands: rpolar, critical, blockdiag, verify, flow, scheme.  Results
 go to stdout (JSON, JSON lines or CSV), diagnostics to stderr.  Identical
 inputs and seeds produce byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 parse failure,
-3 degenerate or reflective input, 4 dimension over the enumeration guard,
-5 not a symmetric square, 6 infeasible label.
+Exit codes: 0 success, 1 verification failure or other invalid argument,
+2 parse failure, 3 degenerate, reflective or non-finite input, 4 dimension
+over the enumeration or multistart guard, 5 not a symmetric square,
+6 infeasible label.  Every error prints one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .linalg import exp_skew, frob_norm_sq, random_rotation, skew
 from .oracle import biot_flow, brute_force_min, integrate_flow
 from .relaxed import (
     MinimizerSet,
-    reflect_negative,
     rpolar_diag,
     rpolar_full,
     rpolar_signed_diag,
@@ -144,12 +144,6 @@ def cmd_rpolar(args) -> int:
     if args.mode == "diag":
         values = parse_diag_list(args.input)
         if np.any(values <= 0):
-            info = reflect_negative(values)
-            if info.orientation_reversed:
-                raise DegenerateD(
-                    "orientation-reversing sign pattern (det J = -1): "
-                    "minimizers over SO(n) are not characterized"
-                )
             ms = rpolar_signed_diag(values)
         else:
             ms = rpolar_diag(values)

@@ -14,6 +14,7 @@ overall parity prod(det) = +1 that keeps R in SO(n).
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,6 +32,9 @@ from .linalg import as_matrix, frob_norm, frob_norm_sq, skew, sym
 
 DEFAULT_MAX_N = 10
 CRITICAL_TOL = 1e-9
+# A pair whose feasibility margin is at or below this is treated as two
+# singletons: its rotation angle is zero to within rounding.
+BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,8 +216,14 @@ def energy(r, d) -> float:
     dv = _diag_values(d)
     if rm.shape[0] != dv.size:
         raise DimensionMismatch("rotation and diagonal dimensions differ")
-    x = rm * dv[None, :] - np.eye(dv.size)
-    return frob_norm_sq(sym(x))
+    return float(_energy_batch(rm, dv))
+
+
+def _energy_batch(r: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Energy of each matrix in a batch (..., n, n), without validation."""
+    x = r * dv[None, :] - np.eye(dv.size)
+    s = (x + np.swapaxes(x, -1, -2)) / 2.0
+    return np.sum(s * s, axis=(-2, -1))
 
 
 def energy_weighted(rbar, f, mu: float, mu_c: float) -> float:
@@ -265,16 +275,18 @@ def _check_structure(label: PartitionLabel, n: int) -> None:
         raise InfeasibleLabel(f"label covers {label.n} indices, parameters have {n}")
 
 
-def _check_pair_exists(sub: SubsetLabel, dv: np.ndarray) -> None:
-    # A pair {i,j} admits a nondiagonal critical point for some sign choice
-    # iff d_i + d_j > 2 (for positive entries the sum dominates the
-    # difference), which is the weakest condition under which the value
-    # formula refers to an actual block.
-    di, dj = (dv[i - 1] for i in sub.indices)
-    if not (di + dj > 2.0 or abs(di - dj) > 2.0):
-        raise InfeasibleLabel(
-            f"pair {sub.indices}: d_i + d_j = {di + dj:g} <= 2, no 2x2 block exists"
-        )
+def _pair_signs(di: float, dj: float) -> tuple[int, ...]:
+    """Det signs for which the pair {i, j} admits a 2x2 block.
+
+    det +1 needs d_i + d_j > 2 and det -1 needs |d_i - d_j| > 2, each by
+    more than ``BOUNDARY_TOL``.  For positive entries the sum dominates the
+    difference, so the result is (), (1,) or (1, -1).
+    """
+    if not di + dj > 2.0 + BOUNDARY_TOL:
+        return ()
+    if not abs(di - dj) > 2.0 + BOUNDARY_TOL:
+        return (1,)
+    return (1, -1)
 
 
 def critical_value(label: PartitionLabel, d) -> float:
@@ -283,14 +295,19 @@ def critical_value(label: PartitionLabel, d) -> float:
     Sum of (d_i - 1)^2 over positive singletons, (d_i + 1)^2 over negative
     singletons, (d_i - d_j)^2 / 2 over positive pairs and
     (d_i + d_j)^2 / 2 over negative pairs.  The formula is evaluated for
-    any label whose pairs admit a block for some sign choice; use
-    ``realize`` to additionally enforce the per-sign inequalities and the
-    SO(n) parity.
+    any label whose pairs admit a block for some sign choice, that is
+    d_i + d_j > 2 + ``BOUNDARY_TOL``; use ``realize`` to additionally
+    enforce the per-sign inequalities and the SO(n) parity.
     """
     params = as_diag(d)
     _check_structure(label, params.n)
     for sub in label.pairs():
-        _check_pair_exists(sub, params.d)
+        di, dj = (params.d[i - 1] for i in sub.indices)
+        if not _pair_signs(di, dj):
+            raise InfeasibleLabel(
+                f"pair {sub.indices}: d_i + d_j = {di + dj:.12g} is not above "
+                f"2 + {BOUNDARY_TOL:g}, no 2x2 block exists"
+            )
     return float(sum(_subset_values(s, params.d) for s in label.subsets))
 
 
@@ -303,15 +320,25 @@ def _check_realizable(label: PartitionLabel, params: DiagParams) -> None:
         raise InfeasibleLabel("det signs must multiply to +1 for R in SO(n)")
     for sub in label.pairs():
         di, dj = (params.d[i - 1] for i in sub.indices)
-        if sub.det_sign == 1 and not di + dj > 2.0:
+        if sub.det_sign not in _pair_signs(di, dj):
+            need = "d_i + d_j > 2" if sub.det_sign == 1 else "|d_i - d_j| > 2"
             raise InfeasibleLabel(
-                f"pair {sub.indices} with det +1 needs d_i + d_j > 2, got {di + dj:g}"
+                f"pair {sub.indices} with det {sub.det_sign:+d} needs {need}, "
+                f"got d = ({di:g}, {dj:g})"
             )
-        if sub.det_sign == -1 and not abs(di - dj) > 2.0:
-            raise InfeasibleLabel(
-                f"pair {sub.indices} with det -1 needs |d_i - d_j| > 2, "
-                f"got {abs(di - dj):g}"
-            )
+
+
+def _write_pair(r, i, j, di, dj, det: int, angle) -> None:
+    """Write the 2x2 critical block of the pair (i, j) (0-based) into r.
+
+    cos a = 2 / (d_i + det d_j); the block is a rotation for det +1 and a
+    reflection for det -1, and ``angle`` (+-1) picks the sign of sin a.
+    ``r`` may carry a trailing batch axis, shape (n, n, m), with an array
+    of m angles.
+    """
+    c = 2.0 / (di + det * dj)
+    s = angle * math.sqrt(max(0.0, 1.0 - c * c))
+    r[i, i], r[i, j], r[j, i], r[j, j] = c, -det * s, s, det * c
 
 
 def _place_subset(r: np.ndarray, sub: SubsetLabel, dv: np.ndarray) -> None:
@@ -320,17 +347,7 @@ def _place_subset(r: np.ndarray, sub: SubsetLabel, dv: np.ndarray) -> None:
         r[i, i] = float(sub.det_sign)
         return
     i, j = (k - 1 for k in sub.indices)
-    di, dj = dv[i], dv[j]
-    if sub.det_sign == 1:
-        c = 2.0 / (di + dj)
-        s = sub.angle_sign * np.sqrt(max(0.0, 1.0 - c * c))
-        r[i, i], r[i, j] = c, -s
-        r[j, i], r[j, j] = s, c
-    else:
-        c = 2.0 / (di - dj)
-        s = sub.angle_sign * np.sqrt(max(0.0, 1.0 - c * c))
-        r[i, i], r[i, j] = c, s
-        r[j, i], r[j, j] = s, -c
+    _write_pair(r, i, j, dv[i], dv[j], sub.det_sign, sub.angle_sign)
 
 
 def _realize_one(label: PartitionLabel, params: DiagParams) -> np.ndarray:
@@ -390,18 +407,6 @@ def _partitions(indices: tuple[int, ...]):
             yield ((first, other),) + tail
 
 
-def _allowed_signs(subset: tuple[int, ...], dv: np.ndarray) -> tuple[int, ...]:
-    if len(subset) == 1:
-        return (1, -1)
-    di, dj = (dv[i - 1] for i in subset)
-    signs = []
-    if di + dj > 2.0:
-        signs.append(1)
-    if abs(di - dj) > 2.0:
-        signs.append(-1)
-    return tuple(signs)
-
-
 def enumerate_critical(d, max_n: int = DEFAULT_MAX_N):
     """Yield every critical point of W(.; D), without duplicates.
 
@@ -427,7 +432,10 @@ def enumerate_critical(d, max_n: int = DEFAULT_MAX_N):
             stacklevel=2,
         )
     for partition in _partitions(tuple(range(1, n + 1))):
-        options = [_allowed_signs(sub, params.d) for sub in partition]
+        options = [
+            (1, -1) if len(sub) == 1 else _pair_signs(*(params.d[i - 1] for i in sub))
+            for sub in partition
+        ]
         if any(not opt for opt in options):
             continue
         for combo in itertools.product(*options):

@@ -1,8 +1,8 @@
 """Exception and warning types shared across the package."""
 
 
-class RpolarError(Exception):
-    """Base class for all errors raised by this package."""
+class RpolarError(ValueError):
+    """Base class for all errors raised by this package; a ``ValueError``."""
 
 
 class DimensionMismatch(RpolarError):
@@ -18,7 +18,7 @@ class NonInvertibleOrReflective(RpolarError):
 
 
 class Degenerate(RpolarError):
-    """Input matrix is (numerically) rank deficient."""
+    """Input matrix is (numerically) rank deficient or not finite."""
 
 
 class NotLambdaSquare(RpolarError):

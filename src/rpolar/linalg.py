@@ -12,7 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Degenerate, DimensionMismatch, NonInvertibleOrReflective, NotSkew
+from .errors import (
+    Degenerate,
+    DimensionMismatch,
+    NonInvertibleOrReflective,
+    NotSkew,
+    RpolarError,
+)
 
 # Absolute Frobenius tolerances for manifold membership at n up to a few
 # hundred in double precision.
@@ -26,12 +32,12 @@ MAX_ROTATION_DRIFT = 1e-8
 
 
 def as_matrix(x) -> np.ndarray:
-    """Validate and return a square real matrix with finite entries."""
+    """Validate a square real matrix; non-finite entries raise ``Degenerate``."""
     m = np.asarray(x, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise Degenerate("matrix entries must be finite")
     return m
 
 
@@ -108,7 +114,7 @@ def as_rotation(m, max_drift: float = MAX_ROTATION_DRIFT) -> np.ndarray:
     a = as_matrix(m)
     defect = orthogonality_defect(a)
     if defect > max_drift:
-        raise ValueError(f"orthogonality drift {defect:.3e} exceeds {max_drift:.1e}")
+        raise RpolarError(f"orthogonality drift {defect:.3e} exceeds {max_drift:.1e}")
     if np.linalg.det(a) <= 0:
         raise NonInvertibleOrReflective("matrix is not orientation preserving")
     if defect > 1e-15:
@@ -226,5 +232,5 @@ def random_rotation(n: int, seed) -> np.ndarray:
     needed to land in SO(n).
     """
     if n < 1:
-        raise ValueError("dimension must be >= 1")
+        raise RpolarError("dimension must be >= 1")
     return haar_rotations(n, 1, seed)[0]

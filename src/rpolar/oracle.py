@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critical import _diag_values, energy
-from .errors import StepTooLarge
+from .critical import _diag_values, _energy_batch, energy
+from .errors import RpolarError, StepTooLarge, TooLarge
 from .linalg import as_matrix, exp_skew_batch, frob_norm, haar_rotations
 
 GTOL_DEFAULT = 1e-9
@@ -74,20 +74,11 @@ def riemannian_gradient(r, d) -> np.ndarray:
     Vanishes exactly at the critical points of the energy; equals
     skew(R^T sym(R D - I) D), so d/dt W(R exp(tB))|_0 = 2 <A, B>.
     """
-    rm = as_matrix(r)
-    dv = _diag_values(d)
-    x = rm.T * dv[None, :] - np.eye(dv.size)
-    return 0.5 * _skew_np(x @ x)
+    return _grad_batch(as_matrix(r), _diag_values(d))
 
 
 def _skew_np(m: np.ndarray) -> np.ndarray:
     return (m - np.swapaxes(m, -1, -2)) / 2.0
-
-
-def _energy_batch(r: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    x = r * dv[None, :] - np.eye(dv.size)
-    s = (x + np.swapaxes(x, -1, -2)) / 2.0
-    return np.sum(s * s, axis=(-2, -1))
 
 
 def _grad_batch(r: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -237,7 +228,7 @@ def brute_force_min(
     dv = _diag_values(d)
     n = dv.size
     if n > 8:
-        raise ValueError("brute-force multistart is guarded to n <= 8")
+        raise TooLarge(f"n = {n} exceeds the multistart guard n <= 8")
     r0 = haar_rotations(n, n_starts, seed)
     r, e, conv, _, _ = _descend_batch(r0, dv, gtol, max_iter)
     best = int(np.argmin(e))
@@ -253,7 +244,7 @@ def brute_force_min(
 
 def _integrate(r0, dv, rhs, energy_fn, step, t_end, gtol):
     if step <= 0:
-        raise ValueError("step size must be positive")
+        raise RpolarError("step size must be positive")
     r = as_matrix(r0)
     times = [0.0]
     states = [r.copy()]

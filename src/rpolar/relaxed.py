@@ -18,39 +18,35 @@ diagonal parameters with negative entries.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .critical import (
+    BOUNDARY_TOL,
     DiagParams,
     PartitionLabel,
     SubsetLabel,
+    _pair_signs,
+    _write_pair,
     as_diag,
     critical_value,
-    energy,
 )
-from .errors import (
-    DegenerateD,
-    InfeasibleLabel,
-    NonClassicalRange,
-    TiesNotStrictWarning,
-)
+from .errors import DegenerateD, NonClassicalRange, TiesNotStrictWarning
 from .linalg import _svd_polar, as_matrix, polar_decompose
-
-BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class MinimizerSet:
     """All global minimizers of W(.; D) plus the reduced energy.
 
-    ``rotations`` holds the 2^k minimizers (matrices in user index order),
+    ``rotations`` holds the 2^k minimizers (matrices in user index order;
+    per pair the +1 angle sign comes first, the first pair varying slowest),
     ``cos_alphas`` the per-pair rotation cosines in sorted order, and
     ``label`` the optimal partition in user indices with all det signs +1.
-    ``flags`` may contain "boundary_case" (a pair sum within 1e-9 of 2),
+    ``flags`` may contain "boundary_case" (the first sorted pair left as
+    singletons has a sum within ``BOUNDARY_TOL`` of 2),
     "non_isolated" (an active tie makes the family continuous) and
     "reflected" (minimizers were composed with a sign reflection).
     """
@@ -96,25 +92,26 @@ class SchemeTrace:
 
 
 def optimal_k(d) -> int:
-    """Largest k with d_{2k-1} + d_{2k} > 2 on the sorted values (0 if none)."""
+    """Number of leading sorted pairs {1,2}, {3,4}, ... that admit a block.
+
+    Counts pairs while d_{2k-1} + d_{2k} > 2 + ``BOUNDARY_TOL`` on the
+    sorted values (0 if none).
+    """
     sd = as_diag(d).sorted_d
     k = 0
-    for i in range(sd.size // 2):
-        if sd[2 * i] + sd[2 * i + 1] > 2.0:
-            k = i + 1
-        else:
-            break
+    while 2 * k + 1 < sd.size and _pair_signs(sd[2 * k], sd[2 * k + 1]):
+        k += 1
     return k
 
 
 def _optimal_label(params: DiagParams, k: int) -> PartitionLabel:
-    order = params.order
-    subs = []
-    for i in range(k):
-        pair = (int(order[2 * i]) + 1, int(order[2 * i + 1]) + 1)
-        subs.append(SubsetLabel(indices=pair, det_sign=1))
-    for j in range(2 * k, params.n):
-        subs.append(SubsetLabel(indices=(int(order[j]) + 1,), det_sign=1))
+    user = [int(u) + 1 for u in params.order]
+    return _build_label(zip(user[0 : 2 * k : 2], user[1 : 2 * k : 2]), user[2 * k :])
+
+
+def _build_label(pairs, singles) -> PartitionLabel:
+    subs = [SubsetLabel(indices=tuple(p), det_sign=1) for p in pairs]
+    subs += [SubsetLabel(indices=(i,), det_sign=1) for i in singles]
     return PartitionLabel(subsets=tuple(subs))
 
 
@@ -135,24 +132,18 @@ def rpolar_diag(d) -> MinimizerSet:
     """All global minimizers of W(R; D) for positive diagonal parameters.
 
     Pairs are formed on the sorted values and mapped back to user index
-    positions.  Pair sums within ``BOUNDARY_TOL`` of 2 are treated as the
-    boundary (the pair degenerates to identity blocks) and flagged.  With
-    tied entries a representative of each minimizer family is returned and
-    a ``TiesNotStrictWarning`` is emitted when the tie is active.
+    positions; ``optimal_k`` decides how many.  A pair sum at or below
+    2 + ``BOUNDARY_TOL`` leaves the pair as singletons, and the result is
+    flagged "boundary_case" when that sum lies within ``BOUNDARY_TOL`` of 2.
+    With tied entries a representative of each minimizer family is returned
+    and a ``TiesNotStrictWarning`` is emitted when the tie is active.
     """
     params = as_diag(d)
     sd = params.sorted_d
-    k = 0
+    k = optimal_k(params)
     flags: list[str] = []
-    for i in range(sd.size // 2):
-        pair_sum = sd[2 * i] + sd[2 * i + 1]
-        if abs(pair_sum - 2.0) <= BOUNDARY_TOL:
-            flags.append("boundary_case")
-            break
-        if pair_sum > 2.0:
-            k = i + 1
-        else:
-            break
+    if 2 * k + 1 < sd.size and abs(sd[2 * k] + sd[2 * k + 1] - 2.0) <= BOUNDARY_TOL:
+        flags.append("boundary_case")
 
     tie_flags = _tie_flags(params, k)
     if tie_flags:
@@ -170,17 +161,15 @@ def rpolar_diag(d) -> MinimizerSet:
         + sum((sd[j] - 1.0) ** 2 for j in range(2 * k, sd.size))
     )
 
-    p = params.perm_matrix()
-    rotations = []
-    for combo in _sign_combos(k):
-        r = np.eye(params.n)
-        for i, sgn in enumerate(combo):
-            c = cos_alphas[i]
-            s = sgn * np.sqrt(max(0.0, 1.0 - c * c))
-            a, b = 2 * i, 2 * i + 1
-            r[a, a], r[a, b] = c, -s
-            r[b, a], r[b, b] = s, c
-        rotations.append(p @ r @ p.T)
+    # Minimizer m takes angle sign -1 on pair p where bit k-1-p of m is set,
+    # so the first pair's sign varies slowest.
+    m = np.arange(2**k)
+    rotations = np.repeat(np.eye(params.n)[None], 2**k, axis=0)
+    by_entry = rotations.transpose(1, 2, 0)
+    for p in range(k):
+        i, j = params.order[2 * p], params.order[2 * p + 1]
+        angle = 1 - 2 * ((m >> (k - 1 - p)) & 1)
+        _write_pair(by_entry, i, j, params.d[i], params.d[j], 1, angle)
 
     return MinimizerSet(
         k=k,
@@ -188,12 +177,8 @@ def rpolar_diag(d) -> MinimizerSet:
         reduced_energy=reduced,
         label=_optimal_label(params, k),
         cos_alphas=cos_alphas,
-        flags=tuple(dict.fromkeys(flags)),
+        flags=tuple(flags),
     )
-
-
-def _sign_combos(k: int):
-    return itertools.product((1, -1), repeat=k)
 
 
 def rpolar_full(f) -> MinimizerSet:
@@ -246,19 +231,6 @@ def rpolar_classical(f, mu: float, mu_c: float) -> np.ndarray:
 # -- minimizing scheme -------------------------------------------------------
 
 
-def _validate_scheme_start(label: PartitionLabel, params: DiagParams) -> None:
-    if label.n != params.n:
-        raise InfeasibleLabel(
-            f"label covers {label.n} indices, parameters have {params.n}"
-        )
-    for sub in label.pairs():
-        di, dj = (params.d[i - 1] for i in sub.indices)
-        if not (di + dj > 2.0 or abs(di - dj) > 2.0):
-            raise InfeasibleLabel(
-                f"pair {sub.indices} admits no 2x2 block: d_i + d_j <= 2"
-            )
-
-
 def _to_ranks(label: PartitionLabel, params: DiagParams) -> PartitionLabel:
     rank_of = {int(u) + 1: r + 1 for r, u in enumerate(params.order)}
     return PartitionLabel(
@@ -300,7 +272,7 @@ def _overlapping(pairs: list[tuple[int, int]]):
 def _disentangle(label: PartitionLabel, sd: np.ndarray) -> PartitionLabel:
     # Replace each interleaving or nested pair of blocks by the sorted
     # pairing {p1,p2}, {p3,p4}; the second block degenerates to singletons
-    # when its sum is not above 2.  Every rewrite strictly lowers the
+    # when it admits no block.  Every rewrite strictly lowers the
     # critical value, so the loop terminates.
     pairs = [s.indices for s in label.pairs()]
     singles = [s.indices[0] for s in label.subsets if s.size == 1]
@@ -313,40 +285,29 @@ def _disentangle(label: PartitionLabel, sd: np.ndarray) -> PartitionLabel:
         pairs.remove(hi)
         p1, p2, p3, p4 = sorted(lo + hi)
         pairs.append((p1, p2))
-        if sd[p3 - 1] + sd[p4 - 1] > 2.0:
+        if _pair_signs(sd[p3 - 1], sd[p4 - 1]):
             pairs.append((p3, p4))
         else:
             singles.extend([p3, p4])
     return _build_label(pairs, singles)
 
 
-def _shift_down(label: PartitionLabel, sd: np.ndarray) -> PartitionLabel:
+def _shift_down(label: PartitionLabel) -> PartitionLabel:
     # Move the (non-overlapping) blocks to the leading rank positions
     # {1,2}, {3,4}, ...; sums only grow, so feasibility and monotonicity
     # are preserved.
-    m = len(label.pairs())
-    pairs = [(2 * i + 1, 2 * i + 2) for i in range(m)]
-    singles = list(range(2 * m + 1, label.n + 1))
-    return _build_label(pairs, singles)
+    return _leading_pairs(len(label.pairs()), label.n)
 
 
 def _exhaust(label: PartitionLabel, sd: np.ndarray) -> PartitionLabel:
-    pairs = [s.indices for s in label.pairs()]
-    m = len(pairs)
-    n = label.n
-    i = 2 * m + 1
-    singles = []
-    while i + 1 <= n and sd[i - 1] + sd[i] > 2.0:
-        pairs.append((i, i + 1))
-        i += 2
-    singles.extend(range(i, n + 1))
-    return _build_label(pairs, singles)
+    # After the shift every block sits at a leading position and admits a
+    # block, so joining singletons continues the leading run to optimal_k.
+    return _leading_pairs(optimal_k(sd), label.n)
 
 
-def _build_label(pairs, singles) -> PartitionLabel:
-    subs = [SubsetLabel(indices=tuple(p), det_sign=1) for p in pairs]
-    subs += [SubsetLabel(indices=(i,), det_sign=1) for i in singles]
-    return PartitionLabel(subsets=tuple(subs))
+def _leading_pairs(k: int, n: int) -> PartitionLabel:
+    pairs = [(2 * i + 1, 2 * i + 2) for i in range(k)]
+    return _build_label(pairs, range(2 * k + 1, n + 1))
 
 
 def scheme_minimize(start: PartitionLabel, d) -> SchemeTrace:
@@ -368,7 +329,7 @@ def scheme_minimize(start: PartitionLabel, d) -> SchemeTrace:
         If a pair of the start label admits no block at all.
     """
     params = as_diag(d)
-    _validate_scheme_start(start, params)
+    critical_value(start, params)
     sd = params.sorted_d
 
     current = _to_ranks(start, params)
@@ -376,9 +337,9 @@ def scheme_minimize(start: PartitionLabel, d) -> SchemeTrace:
 
     steps = []
     for name, transform in (
-        ("sign-flip", lambda lab: _flip_positive(lab)),
+        ("sign-flip", _flip_positive),
         ("disentangle", lambda lab: _disentangle(lab, sd)),
-        ("shift", lambda lab: _shift_down(lab, sd)),
+        ("shift", _shift_down),
         ("exhaust", lambda lab: _exhaust(lab, sd)),
     ):
         after = transform(current)
@@ -471,16 +432,14 @@ def rpolar_signed_diag(d_signed) -> MinimizerSet:
             "not characterized for this sign pattern"
         )
     base = rpolar_diag(info.abs_params)
-    j = info.reflection()
-    rotations = tuple(r @ j for r in base.rotations)
-    flags = tuple(dict.fromkeys(list(base.flags) + ["reflected"]))
     if np.all(info.signs > 0):
         return base
+    j = info.reflection()
     return MinimizerSet(
         k=base.k,
-        rotations=rotations,
+        rotations=tuple(r @ j for r in base.rotations),
         reduced_energy=base.reduced_energy,
         label=base.label,
         cos_alphas=base.cos_alphas,
-        flags=flags,
+        flags=base.flags + ("reflected",),
     )

@@ -5,6 +5,7 @@ import pytest
 
 from rpolar.cli import (
     EXIT_DEGENERATE,
+    EXIT_FAIL,
     EXIT_INFEASIBLE,
     EXIT_NOT_SYMSQ,
     EXIT_OK,
@@ -245,6 +246,25 @@ class TestSchemeCmd:
     def test_infeasible_start(self, capsys):
         code, _, _ = run(capsys, "scheme", "0.9,0.8", "--label", "{1,2}+")
         assert code == EXIT_INFEASIBLE
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("rpolar", "full", "NAN_FILE"), EXIT_DEGENERATE),
+            (("verify", "--batch", "1", "--n", "9"), EXIT_TOO_LARGE),
+            (("flow", "4,2,1", "--step", "0"), EXIT_FAIL),
+        ],
+    )
+    def test_single_error_line(self, capsys, tmp_path, argv, expected):
+        path = tmp_path / "nan.txt"
+        path.write_text("1 0\n0 nan\n")
+        argv = [str(path) if a == "NAN_FILE" else a for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == expected
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestVersion:

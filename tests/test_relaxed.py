@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rpolar as rp
-from rpolar.critical import PartitionLabel, SubsetLabel
+from rpolar.critical import BOUNDARY_TOL, PartitionLabel, SubsetLabel, _pair_signs
 from rpolar.errors import (
     DegenerateD,
     InfeasibleLabel,
@@ -98,6 +100,17 @@ class TestRpolarDiag:
         for r in ms.rotations:
             assert rp.energy(r, d) == pytest.approx(45 / 16, rel=1e-12)
 
+    def test_minimizer_order_matches_realize(self):
+        # sorted input: the optimal label's pairs come in rank order, so the
+        # documented sign order (first pair slowest, +1 first) is realize's
+        d = [3.0, 2.5, 2.2, 1.9, 0.5]
+        ms = rp.rpolar_diag(d)
+        assert ms.k == 2
+        realized = [p.rotation for p in rp.realize(ms.label, d)]
+        assert len(realized) == len(ms.rotations) == 4
+        for r, expected in zip(ms.rotations, realized):
+            np.testing.assert_array_equal(r, expected)
+
     def test_boundary_flagged(self):
         ms = rp.rpolar_diag([1.0, 1.0, 0.5])
         assert ms.k == 0
@@ -140,6 +153,35 @@ class TestRpolarDiag:
             ms = rp.rpolar_diag([3.0, 3.0, 0.5])
         assert "non_isolated" not in ms.flags
         assert ms.reduced_energy == pytest.approx(0.25)
+
+
+class TestBoundaryConsistency:
+    # Leading pair sum 2 + t with t straddling the boundary tolerance; the
+    # trailing entries are too small to form further pairs.
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.floats(-1e-8, 1e-8)
+        | st.sampled_from([BOUNDARY_TOL, -BOUNDARY_TOL, 5e-10, -5e-10]),
+        u=st.floats(0.0, 0.4),
+        rest=st.lists(st.floats(0.05, 0.5), max_size=2),
+    )
+    @example(t=5e-10, u=5e-10, rest=[0.5])
+    def test_entry_points_agree(self, t, u, rest):
+        d = np.array([1.0 + u, 1.0 + (t - u), *rest])
+        n = d.size
+        ms = rp.rpolar_diag(d)
+        trace = rp.scheme_minimize(PartitionLabel.singletons(n), d)
+        assert ms.k == rp.optimal_k(d) == len(trace.final_label.pairs())
+        sd = np.sort(d)[::-1]
+        if ms.k == 0:
+            near = abs(sd[0] + sd[1] - 2.0) <= BOUNDARY_TOL
+            assert ("boundary_case" in ms.flags) == near
+        assert len(rp.realize(ms.label, d)) == 2**ms.k
+        for point in rp.enumerate_critical(d):
+            for sub in point.label.pairs():
+                i, j = sub.indices
+                assert sub.det_sign in _pair_signs(d[i - 1], d[j - 1])
 
 
 class TestRpolarFull:
