@@ -1,9 +1,10 @@
 """Independent verification of the closed forms.
 
-Multistart Riemannian gradient descent on SO(n), two gradient flows and
+Multistart Riemannian Newton descent on SO(n), two gradient flows and
 finite-difference friendly gradients.  Nothing here trusts the
-closed-form minimizers: descent uses only the energy and its first-order
-geometry, so agreement with the formulas is evidence, not circularity.
+closed-form minimizers: descent uses only the energy, its body-frame
+gradient and the gradient's Jacobian (the Riemannian Hessian at critical
+points), so agreement with the formulas is evidence, not circularity.
 
 Sign convention: ``riemannian_gradient`` returns the body-frame matrix A
 with d/dt W(R exp(tB))|_{t=0} = 2 <A, B> for skew B, so R exp(-h A) is a
@@ -23,21 +24,26 @@ from .linalg import as_matrix, exp_skew_batch, frob_norm, haar_rotations
 GTOL_DEFAULT = 1e-9
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
-STEP_INITIAL = 1.0
-STEP_MAX = 2.0
-PROJECT_EVERY = 20
+MAX_BACKTRACKS = 60
 
-# Below this gradient norm the per-step energy decrease (about 2 h ||A||^2)
-# approaches double-precision resolution of the energy itself, so line
-# search on energy values stalls; a gradient-norm-guarded polish phase
-# takes over.
+# Away from a minimum the Newton system is solved with J + sigma I, where
+# sigma lifts the smallest eigenvalue of sym(J) (half the Riemannian
+# Hessian) to NEWTON_DELTA times its largest modulus, so the step is a
+# descent direction for the energy.  Steps are capped at STEP_MAX in
+# Frobenius norm, which bounds how far a nearly singular system can throw
+# an iterate.
+NEWTON_DELTA = 1e-4
+STEP_MAX = 2.0
+
+# Below this gradient norm the per-step energy decrease (about ||A||^2
+# over the curvature) approaches double-precision resolution of the energy
+# itself, so steps are accepted when they lower ||A|| instead.
 POLISH_GN = 1e-5
-POLISH_MAX_ITER = 400
 
 
 @dataclass(frozen=True, eq=False)
 class DescentResult:
-    """Outcome of a single geodesic descent run."""
+    """Outcome of a single Newton descent run."""
 
     rotation: np.ndarray
     value: float
@@ -48,7 +54,11 @@ class DescentResult:
 
 @dataclass(frozen=True, eq=False)
 class DescentReport:
-    """Best-of-multistart summary; deterministic for a fixed seed."""
+    """Best-of-multistart summary; deterministic for a fixed seed.
+
+    ``iterations`` holds the Newton iterations each start took, in start
+    order.
+    """
 
     best_value: float
     best_rotation: np.ndarray
@@ -56,6 +66,7 @@ class DescentReport:
     n_converged: int
     tolerance: float
     seed: int
+    iterations: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,61 +102,108 @@ def _project_batch(r: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _descend_batch(r0: np.ndarray, dv: np.ndarray, gtol: float, max_iter: int):
-    """Geodesic descent with warm-started backtracking, batched over starts.
+def _jacobian_batch(r: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Jacobian of the body-frame gradient, one p x p matrix per rotation.
 
-    Phase 1 runs Armijo backtracking (condition E_trial <= E - c*h*2||A||^2
-    with c = 1e-4, shrink 0.5, accepted steps doubled up to ``STEP_MAX``)
-    until the gradient norm reaches ``POLISH_GN``.  Phase 2 then iterates
-    fixed exponential steps accepted only when ||A|| decreases, which is
-    measurable far below the energy-difference resolution.
+    J[B] = d/dt A(R exp(tB))|_0 = skew(-B M X - X B M) / 2 with
+    M = R^T D and X = M - I, written in the coordinates b_k = B[i_k, j_k]
+    of ``np.triu_indices(n, 1)``, p = n(n-1)/2.  Since
+    d^2/dt^2 W(R exp(tB))|_0 = 2 <J[B], B>, sym(J) carries the curvature
+    of the energy; at critical points J is symmetric.  Entries come from
+    index formulas on M, X and M X, one (batch, p, p) array per term.
+    """
+    m = np.swapaxes(r, -1, -2) * dv[None, :]
+    x = m - np.eye(dv.size)
+    mx = m @ x
+    iu, ju = np.triu_indices(dv.size, 1)
+    i, j = iu[:, None], ju[:, None]
+    k, l = iu[None, :], ju[None, :]
+    jac = np.zeros((r.shape[0], iu.size, iu.size))
+    # skew part of row (i, j) and skew basis element E_kl - E_lk of column
+    terms = ((i, j, k, l, -0.25), (i, j, l, k, 0.25), (j, i, k, l, 0.25), (j, i, l, k, -0.25))
+    for a, b, c, e, sign in terms:
+        # entry (a, b) of B M X + X B M for B = E_ce, the matrix unit
+        jac += sign * (x[:, a, c] * m[:, e, b] + (a == c) * mx[:, e, b])
+    return jac
+
+
+def _descend_batch(r0: np.ndarray, dv: np.ndarray, gtol: float, max_iter: int):
+    """Safeguarded Riemannian Newton descent, batched over starts.
+
+    Each iteration solves (J + sigma I) b = -a for the skew step B, with
+    J from ``_jacobian_batch`` and a the coordinates of A(R), and caps
+    ||B|| at ``STEP_MAX``.  While ||A|| exceeds ``POLISH_GN`` and sym(J)
+    is not positive definite, sigma shifts its spectrum as described at
+    ``NEWTON_DELTA``, so B is a descent direction for the energy;
+    otherwise B is the Newton step for A = 0.  Trial points R cay(tB),
+    with the Cayley retraction cay(B) = (I - B/2)^{-1} (I + B/2), start
+    at t = 1 and halve until accepted: by the Armijo condition on the
+    energy while ||A|| exceeds ``POLISH_GN``, and by a decrease of ||A||
+    below it, which the Newton step guarantees for small t wherever J is
+    regular, near a saddle too.  A start stops when ||A|| <= gtol,
+    after ``max_iter`` iterations, or when ``MAX_BACKTRACKS`` halvings
+    find no acceptable step.
+
+    Returns the projected rotations, their energies, the converged mask
+    (||A|| <= gtol after projection), the per-start iteration counts and
+    the final gradient norms.
     """
     r = r0.copy()
-    nb = r.shape[0]
+    nb, n = r.shape[0], dv.size
+    iu, ju = np.triu_indices(n, 1)
+    diag = np.arange(iu.size)
+    rcond = iu.size * np.finfo(float).eps
+    eye_n = np.eye(n)
     e = _energy_batch(r, dv)
-    step = np.full(nb, STEP_INITIAL)
-    active = np.ones(nb, dtype=bool)
+    gn = np.linalg.norm(_grad_batch(r, dv), axis=(-2, -1))
+    active = gn > gtol
     iters = np.zeros(nb, dtype=int)
-    switch = max(POLISH_GN, gtol)
 
     for it in range(max_iter):
-        if not active.any():
-            break
         idx = np.flatnonzero(active)
-        a = _grad_batch(r[idx], dv)
-        gn = np.linalg.norm(a, axis=(-2, -1))
-        done = gn <= switch
-        if done.any():
-            active[idx[done]] = False
-            idx = idx[~done]
-            if idx.size == 0:
-                continue
-            a = a[~done]
-            gn = gn[~done]
+        if idx.size == 0:
+            break
+        iters[idx] = it + 1
+        ri = r[idx]
+        a = _grad_batch(ri, dv)[:, iu, ju]
+        jac = _jacobian_batch(ri, dv)
+        w = np.linalg.eigvalsh(jac + np.swapaxes(jac, -1, -2)) / 2.0
+        scale = np.abs(w).max(axis=-1)
+        polish = gn[idx] <= POLISH_GN
+        sigma = np.where(polish | (w[:, 0] > 0.0), 0.0, NEWTON_DELTA * scale - w[:, 0])
+        # the relative shift rcond keeps J regular where the energy is
+        # blind to a direction (zero d_i), too small to slow Newton
+        jac[:, diag, diag] += (sigma + rcond * scale)[:, None]
+        b = -np.linalg.solve(jac, a[..., None])[..., 0]
+        bn = np.sqrt(2.0) * np.linalg.norm(b, axis=-1)
+        b *= np.minimum(1.0, STEP_MAX / bn)[:, None]
+        slope = 4.0 * np.sum(a * b, axis=-1)
 
-        slope = 2.0 * gn * gn
+        t = np.ones(idx.size)
         pending = np.arange(idx.size)
-        for _ in range(60):
-            if pending.size == 0:
-                break
+        for _ in range(MAX_BACKTRACKS):
             sub = idx[pending]
-            trial = r[sub] @ exp_skew_batch(-step[sub, None, None] * a[pending])
+            half = np.zeros((pending.size, n, n))
+            half[:, iu, ju] = 0.5 * t[pending, None] * b[pending]
+            half[:, ju, iu] = -half[:, iu, ju]
+            trial = ri[pending] @ np.linalg.solve(eye_n - half, eye_n + half)
             e_trial = _energy_batch(trial, dv)
-            ok = e_trial <= e[sub] - ARMIJO_C * step[sub] * slope[pending]
+            gn_trial = np.linalg.norm(_grad_batch(trial, dv), axis=(-2, -1))
+            ok = np.where(
+                polish[pending],
+                gn_trial < gn[sub],
+                e_trial <= e[sub] + ARMIJO_C * t[pending] * slope[pending],
+            )
             acc = sub[ok]
             r[acc] = trial[ok]
             e[acc] = e_trial[ok]
-            step[acc] = np.minimum(step[acc] * 2.0, STEP_MAX)
-            step[sub[~ok]] *= ARMIJO_SHRINK
-            stalled = step[sub] < 1e-16
-            active[sub[stalled & ~ok]] = False
-            pending = pending[~ok & ~stalled]
-        iters[active] = it + 1
-        if (it + 1) % PROJECT_EVERY == 0:
-            r[active] = _project_batch(r[active])
-
-    if gtol < switch:
-        r = _polish_batch(r, dv, gtol)
+            gn[acc] = gn_trial[ok]
+            pending = pending[~ok]
+            t[pending] *= ARMIJO_SHRINK
+            if pending.size == 0:
+                break
+        active[idx[pending]] = False
+        active[idx] &= gn[idx] > gtol
 
     r = _project_batch(r)
     e = _energy_batch(r, dv)
@@ -154,51 +212,19 @@ def _descend_batch(r0: np.ndarray, dv: np.ndarray, gtol: float, max_iter: int):
     return r, e, converged, iters, gnorm_final
 
 
-def _polish_batch(r: np.ndarray, dv: np.ndarray, gtol: float) -> np.ndarray:
-    """Drive the gradient norm below ``gtol`` by gn-monotone fixed steps.
-
-    A step R exp(-h A) is accepted only if it lowers ||A||; rejected steps
-    shrink h, sluggish accepted ones grow it.  Near a nondegenerate
-    critical point the map contracts ||A|| linearly for h below the local
-    curvature scale, so this converges without comparing energies.
-    """
-    r = r.copy()
-    nb = r.shape[0]
-    h = np.full(nb, 0.25)
-    a = _grad_batch(r, dv)
-    gn = np.linalg.norm(a, axis=(-2, -1))
-    active = gn > gtol
-    for _ in range(POLISH_MAX_ITER):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        trial = r[idx] @ exp_skew_batch(-h[idx, None, None] * a[idx])
-        a_trial = _grad_batch(trial, dv)
-        gn_trial = np.linalg.norm(a_trial, axis=(-2, -1))
-        ok = gn_trial < gn[idx]
-        acc = idx[ok]
-        r[acc] = trial[ok]
-        a[acc] = a_trial[ok]
-        slow = gn_trial[ok] > 0.9 * gn[acc]
-        gn[acc] = gn_trial[ok]
-        h[acc[slow]] = np.minimum(h[acc[slow]] * 1.5, STEP_MAX)
-        rej = idx[~ok]
-        h[rej] *= 0.4
-        active[acc] = gn[acc] > gtol
-        active[rej] = h[rej] > 1e-14
-    return r
-
-
 def descend(
     r0,
     d,
     gtol: float = GTOL_DEFAULT,
     max_iter: int = 2000,
 ) -> DescentResult:
-    """Geodesic gradient descent R <- R exp(-h A) with backtracking.
+    """Safeguarded Riemannian Newton descent from one start.
 
+    Steps R <- R cay(tB) with the Cayley retraction and the Newton
+    direction B of ``_descend_batch``, shifted to a descent direction
+    where the Hessian is not positive definite and backtracked.
     Terminates when the body-frame gradient norm drops below ``gtol`` or
-    after ``max_iter`` iterations; the best iterate is returned either
+    after ``max_iter`` iterations; the last iterate is returned either
     way, with ``converged`` reporting which case occurred.
     """
     rm = as_matrix(r0)
@@ -230,7 +256,7 @@ def brute_force_min(
     if n > 8:
         raise TooLarge(f"n = {n} exceeds the multistart guard n <= 8")
     r0 = haar_rotations(n, n_starts, seed)
-    r, e, conv, _, _ = _descend_batch(r0, dv, gtol, max_iter)
+    r, e, conv, iters, _ = _descend_batch(r0, dv, gtol, max_iter)
     best = int(np.argmin(e))
     return DescentReport(
         best_value=float(e[best]),
@@ -239,6 +265,7 @@ def brute_force_min(
         n_converged=int(np.sum(conv)),
         tolerance=gtol,
         seed=seed,
+        iterations=iters,
     )
 
 

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The multistart oracle
-comparison (criterion 3) dominates the runtime at a few minutes; everything
-else completes in seconds.
+comparison (criterion 3) takes about 6 s and blockdiag's property suite
+(criterion 4) about 7 s on a 2-core x86 host with single-threaded BLAS;
+everything else completes in a few seconds.
 """
 
 import time
@@ -88,23 +89,26 @@ def test_criterion_3_oracle_equivalence():
     n_pass = 0
     total = 0
     worst = 0.0
+    converged = 0
     for n in (2, 3, 4, 5):
         for _ in range(50):
             d = np.sort(rng.uniform(0.2, 3.5, n))[::-1]
             while not np.all(np.diff(d) < 0):
                 d = np.sort(rng.uniform(0.2, 3.5, n))[::-1]
             closed = rp.rpolar_diag(d).reduced_energy
-            oracle = rp.brute_force_min(d, n_starts=300, seed=1000 + total).best_value
-            diff = abs(closed - oracle)
+            oracle = rp.brute_force_min(d, n_starts=300, seed=1000 + total)
+            diff = abs(closed - oracle.best_value)
             worst = max(worst, diff)
             n_pass += diff <= 1e-7
+            converged += oracle.n_converged
             total += 1
     elapsed = time.perf_counter() - t0
     report(
         3,
-        n_pass == total == 200 and elapsed < 300.0,
+        n_pass == total == 200 and converged == 300 * total and elapsed < 300.0,
         f"{n_pass}/{total} cases agree within 1e-7 (worst {worst:.2e}, "
-        f"300 starts each, {elapsed:.1f}s)",
+        f"300 starts each, {converged}/{300 * total} starts converged, "
+        f"{elapsed:.1f}s)",
     )
 
 

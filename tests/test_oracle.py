@@ -3,6 +3,7 @@ import pytest
 
 import rpolar as rp
 from rpolar.errors import StepTooLarge
+from rpolar.oracle import _grad_batch, _jacobian_batch
 
 RNG = np.random.default_rng(1618)
 
@@ -42,6 +43,103 @@ class TestGradient:
                 ) / (2 * h)
                 an = 2.0 * rp.frob_inner(a, b)
                 assert fd == pytest.approx(an, rel=1e-6, abs=1e-8)
+
+
+def separated_strict(rng, n, margin=0.1):
+    """Descending d whose gaps and pair margins |d_i +- d_j - 2| exceed ``margin``."""
+    iu, ju = np.triu_indices(n, 1)
+    while True:
+        d = np.sort(rng.uniform(0.2, 3.5, n))[::-1]
+        gaps = np.abs(np.diff(d))
+        sums = np.abs(d[iu] + d[ju] - 2.0)
+        diffs = np.abs(d[iu] - d[ju] - 2.0)
+        if min(gaps.min(), sums.min(), diffs.min()) > margin:
+            return d
+
+
+class TestJacobian:
+    def test_matches_central_differences(self):
+        # J[B] = d/dt A(R exp(tB))|_0 in upper-triangle coordinates
+        h = 1e-6
+        for n in range(2, 7):
+            iu, ju = np.triu_indices(n, 1)
+            for _ in range(50):
+                d = np.sort(RNG.uniform(0.2, 3.5, n))[::-1]
+                r = rp.random_rotation(n, RNG)
+                b = RNG.standard_normal(iu.size)
+                bm = np.zeros((n, n))
+                bm[iu, ju] = b
+                bm[ju, iu] = -b
+                fd = (
+                    _grad_batch(r @ rp.exp_skew(bm, h), d)
+                    - _grad_batch(r @ rp.exp_skew(bm, -h), d)
+                ) / (2 * h)
+                an = _jacobian_batch(r[None], d)[0] @ b
+                np.testing.assert_allclose(an, fd[iu, ju], rtol=1e-6, atol=1e-7)
+
+    def test_symmetric_at_critical_points(self):
+        for d in ([3.0, 1.9, 0.7], [3.2, 2.1, 1.4, 0.6], [4.0, 2.0, 1.0, 0.5, 0.25]):
+            for p in rp.enumerate_critical(d):
+                jac = _jacobian_batch(p.rotation[None], np.asarray(d))[0]
+                assert np.max(np.abs(jac - jac.T)) <= 1e-10
+
+    def test_positive_definite_at_minimizers(self):
+        rng = np.random.default_rng(31)
+        for n in range(2, 7):
+            for _ in range(20):
+                d = separated_strict(rng, n)
+                for r in rp.rpolar_diag(d).rotations:
+                    jac = _jacobian_batch(r[None], d)[0]
+                    assert np.linalg.eigvalsh(0.5 * (jac + jac.T))[0] > 1e-6
+
+
+class TestConvergence:
+    # Each start must reach the gradient tolerance, not only the best one
+    # land within 1e-7 of the closed form.
+    @pytest.mark.parametrize(
+        "d, n_starts, seed",
+        [
+            # near-tied pairs: starts used to stall above gtol
+            ([3.155, 3.078, 2.535, 0.261, 0.204], 20, 0),
+            ([2.84, 1.873, 1.871, 1.255, 0.979, 0.977], 20, 0),
+            # draw 176 of acceptance criterion 3: starts pass near a saddle
+            (
+                [
+                    3.129817561056196,
+                    2.4405958541626886,
+                    2.439259799869267,
+                    2.2321519206630054,
+                    0.26053001308877677,
+                ],
+                300,
+                1176,
+            ),
+        ],
+    )
+    def test_every_start_converges(self, d, n_starts, seed):
+        report = rp.brute_force_min(d, n_starts=n_starts, seed=seed)
+        assert report.n_converged == report.n_starts == n_starts
+        assert report.best_value == pytest.approx(rp.rpolar_diag(d).reduced_energy, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_every_start_converges_large_n(self, n):
+        d = np.sort(np.random.default_rng(n).uniform(0.2, 3.5, n))[::-1]
+        report = rp.brute_force_min(d, n_starts=100, seed=n)
+        assert report.n_converged == report.n_starts == 100
+        assert report.best_value == pytest.approx(rp.rpolar_diag(d).reduced_energy, abs=1e-7)
+
+    def test_energy_blind_direction(self):
+        # with d_2 = d_3 = 0 the energy ignores rotations in the (2, 3)
+        # plane, so J has a zero row and column there
+        report = rp.brute_force_min([1.5, 0.0, 0.0], n_starts=50, seed=3)
+        assert report.n_converged == 50
+        assert report.best_value == pytest.approx(2.25, abs=1e-10)
+
+    def test_iterations_reported_per_start(self):
+        report = rp.brute_force_min([3.0, 2.0, 0.5], n_starts=50, seed=5)
+        assert report.iterations.shape == (50,)
+        assert report.iterations.dtype.kind == "i"
+        assert np.all((report.iterations >= 1) & (report.iterations < 2000))
 
 
 class TestDescend:
