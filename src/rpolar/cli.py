@@ -119,8 +119,13 @@ def _rotation_rows(r: np.ndarray) -> list[float]:
     return [float(x) for x in r.reshape(-1)]
 
 
-def _minimizer_payload(ms: MinimizerSet, n: int) -> dict:
-    return {
+def _write_minimizers(ms: MinimizerSet, n: int) -> None:
+    """Write the minimizer set as one JSON line, one rotation at a time.
+
+    The bytes are those of ``json.dumps`` of the whole payload, but the
+    2^k rotations are never held in memory at once.
+    """
+    head = {
         "schema": SCHEMA,
         "kind": "minimizer_set",
         "n": n,
@@ -128,9 +133,12 @@ def _minimizer_payload(ms: MinimizerSet, n: int) -> dict:
         "reduced_energy": ms.reduced_energy,
         "cos_alphas": list(ms.cos_alphas),
         "label": ms.label.to_dict(),
-        "rotations": [_rotation_rows(r) for r in ms.rotations],
-        "flags": list(ms.flags),
     }
+    out = sys.stdout
+    out.write(json.dumps(head)[:-1] + ', "rotations": [')
+    for i, r in enumerate(ms.rotations):
+        out.write((", " if i else "") + json.dumps(_rotation_rows(r)))
+    out.write('], "flags": ' + json.dumps(list(ms.flags)) + "}\n")
 
 
 def _emit(payload) -> None:
@@ -157,11 +165,11 @@ def cmd_rpolar(args) -> int:
         print(f"reduced_energy = {ms.reduced_energy!r}")
         print(f"cos_alphas = {list(ms.cos_alphas)!r}")
         print(f"label = {format_label(ms.label)}")
-        print(f"minimizers = {len(ms.rotations)}")
+        print(f"minimizers = {2**ms.k}")
         for r in ms.rotations:
             print(np.array2string(r, precision=12, suppress_small=False))
     else:
-        _emit(_minimizer_payload(ms, n))
+        _write_minimizers(ms, n)
     return EXIT_OK
 
 

@@ -42,14 +42,20 @@ class DiagParams:
     """Diagonal parameter matrix D = diag(d_1, ..., d_n) with d_i > 0.
 
     Keeps the values in user order together with the stable permutation
-    that sorts them descending.  ``strict`` records whether the sorted
-    values are strictly decreasing (ties make some critical points
-    non-isolated).
+    that sorts them descending.  ``sorted_d`` (the values sorted
+    descending) and ``strict`` (whether they strictly decrease; ties make
+    some critical points non-isolated) are derived once from the two.
     """
 
     d: np.ndarray
     order: np.ndarray = field(repr=False)
-    strict: bool = True
+    sorted_d: np.ndarray = field(init=False, repr=False)
+    strict: bool = field(init=False)
+
+    def __post_init__(self):
+        sorted_d = self.d[self.order]
+        object.__setattr__(self, "sorted_d", sorted_d)
+        object.__setattr__(self, "strict", bool((sorted_d[1:] < sorted_d[:-1]).all()))
 
     @classmethod
     def from_values(cls, values) -> "DiagParams":
@@ -63,19 +69,11 @@ class DiagParams:
                 "diagonal values must be positive; reduce signed inputs "
                 "with reflect_negative first"
             )
-        order = np.argsort(-d, kind="stable")
-        sorted_d = d[order]
-        strict = bool(np.all(np.diff(sorted_d) < 0.0))
-        return cls(d=d, order=order, strict=strict)
+        return cls(d=d, order=np.argsort(-d, kind="stable"))
 
     @property
     def n(self) -> int:
         return int(self.d.size)
-
-    @property
-    def sorted_d(self) -> np.ndarray:
-        """Values sorted descending."""
-        return self.d[self.order]
 
     def matrix(self) -> np.ndarray:
         return np.diag(self.d)

@@ -10,6 +10,9 @@ cos(a_i) = 2 / (d_{2i-1} + d_{2i}) and a free angle sign, so there are
     W_red(D) = 1/2 sum_{i<=k} (d_{2i-1} - d_{2i})^2
              + sum_{i>2k} (d_i - 1)^2.
 
+The 2^k minimizers share one frame and the k cosines and differ only in
+the angle signs, so they are kept as a lazy sequence and built on demand.
+
 This module also provides the energy-decreasing label transformation that
 connects an arbitrary critical point to the optimal one, the full-matrix
 entry point via polar reduction, and the sign-reflection reduction for
@@ -18,8 +21,11 @@ diagonal parameters with negative entries.
 
 from __future__ import annotations
 
+import operator
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -36,15 +42,112 @@ from .critical import (
 from .errors import DegenerateD, NonClassicalRange, TiesNotStrictWarning
 from .linalg import _svd_polar, as_matrix, polar_decompose
 
+# Iteration builds the minimizers in chunks of about this many bytes, one
+# batched call per chunk, so its memory does not grow with 2^k.
+CHUNK_BYTES = 1 << 20
+
+
+class MinimizerRotations(Sequence):
+    """The 2^k global minimizers of one problem, built on demand.
+
+    Minimizer m is L B_m R^T: B_m is the identity with the k 2x2 rotation
+    blocks written at the paired indices, and pair p takes angle sign -1
+    where bit k-1-p of m is set, so the first pair's sign varies slowest
+    and +1 comes first.  Without a left frame L = I and B_m is written
+    entrywise, exactly as ``critical.realize`` writes it; the right frame
+    is then I or a reflection J, a column sign flip.  With the frames
+    (L, R) = (V, W) of F = V S W^T, each minimizer is a rank-2k update of
+    one fixed matrix, through the 2k paired columns of V and W.
+
+    Indexing builds one matrix in O(n^2 k) time and O(n^2) memory;
+    iteration builds chunks of about ``CHUNK_BYTES`` with one batched call
+    each and yields views into them.  ``len`` is 2^k, which, as for
+    ``range``, the builtin ``len()`` can report only up to ``sys.maxsize``
+    (k <= 62); indexing works for any k.
+    """
+
+    def __init__(self, params: DiagParams, k: int, left=None, right=None):
+        """Minimizers for the k leading sorted pairs of ``params``.
+
+        ``left`` and ``right`` are the frames V and W; with ``left`` None,
+        ``right`` is None or the diagonal of the reflection J.
+        """
+        self.k = k
+        self._n = params.n
+        self._count = 2**k
+        paired = params.order[: 2 * k]
+        i, j = paired[0::2], paired[1::2]
+        # B_0 has every block with angle sign +1, written by the one block
+        # writer.  The angle sign is the sign of sin a, so B_m differs from
+        # B_0 only in the sign of the off-diagonal entries of the pairs
+        # whose bit is set.
+        base = np.eye(self._n)
+        for p in range(k):
+            _write_pair(base, i[p], j[p], params.d[i[p]], params.d[j[p]], 1, 1)
+        if left is None:
+            if right is not None:
+                # B_0 J flips column signs; + 0.0 turns the -0.0 of a flipped
+                # zero into the +0.0 that the product B_0 @ J gives
+                base = base * right + 0.0
+            self._base = base
+            self._off = (np.concatenate([i, j]), np.concatenate([j, i]))
+            self._off_values = base[self._off]
+            self._frames = None
+        else:
+            # V B_m W^T = V C W^T + V_P diag(sigma_m) O_P W^T, where C is the
+            # diagonal of B_0, O its off-diagonal part and sigma_m the signs
+            c = np.diagonal(base)
+            self._base = (left * c) @ right.T
+            self._frames = (left[:, paired], (base - np.diag(c))[paired] @ right.T)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(self._count)[index])
+        m = operator.index(index)
+        if m < 0:
+            m += self._count
+        if not 0 <= m < self._count:
+            raise IndexError(f"minimizer index {index} out of range for 2^{self.k}")
+        bits = [(m >> (self.k - 1 - p)) & 1 for p in range(self.k)]
+        return self._build(np.array(bits, dtype=np.int64).reshape(1, self.k))[0]
+
+    def __iter__(self):
+        step = max(1, CHUNK_BYTES // (8 * self._n * self._n))
+        # shifts past 63 select bits that are zero for every int64 index
+        shifts = np.minimum(self.k - 1 - np.arange(self.k), 63)
+        for start in range(0, self._count, step):
+            m = np.arange(start, min(start + step, self._count), dtype=np.int64)
+            yield from self._build((m[:, None] >> shifts) & 1)
+
+    def _build(self, bits: np.ndarray) -> np.ndarray:
+        """Minimizers for a (batch, k) array of sign bits, shape (batch, n, n)."""
+        sigma = 1.0 - 2.0 * bits
+        if self._frames is None:
+            out = np.repeat(self._base[None], bits.shape[0], axis=0)
+            flips = np.concatenate([sigma, sigma], axis=1)
+            out[:, self._off[0], self._off[1]] = flips * self._off_values
+            return out
+        left_p, off_rows = self._frames
+        out = (left_p * np.repeat(sigma, 2, axis=1)[:, None, :]) @ off_rows
+        out += self._base
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class MinimizerSet:
     """All global minimizers of W(.; D) plus the reduced energy.
 
-    ``rotations`` holds the 2^k minimizers (matrices in user index order;
-    per pair the +1 angle sign comes first, the first pair varying slowest),
-    ``cos_alphas`` the per-pair rotation cosines in sorted order, and
-    ``label`` the optimal partition in user indices with all det signs +1.
+    ``rotations`` is a lazy, read-only sequence of the 2^k minimizers
+    (matrices in user index order): ``rotations[m]`` builds the minimizer
+    whose angle sign on pair p is -1 where bit k-1-p of m is set (per pair
+    the +1 sign first, the first pair varying slowest), iteration builds
+    them in chunks, and ``np.stack(list(ms.rotations))`` materializes them
+    all.  ``cos_alphas`` holds the per-pair rotation cosines in sorted
+    order, and ``label`` the optimal partition in user indices with all
+    det signs +1, built on first read.
     ``flags`` may contain "boundary_case" (the first sorted pair left as
     singletons has a sum within ``BOUNDARY_TOL`` of 2),
     "non_isolated" (an active tie makes the family continuous) and
@@ -52,11 +155,15 @@ class MinimizerSet:
     """
 
     k: int
-    rotations: tuple[np.ndarray, ...]
+    rotations: Sequence[np.ndarray]
     reduced_energy: float
-    label: PartitionLabel
-    cos_alphas: tuple[float, ...] = ()
-    flags: tuple[str, ...] = ()
+    cos_alphas: tuple[float, ...]
+    flags: tuple[str, ...]
+    _params: DiagParams = field(repr=False)
+
+    @cached_property
+    def label(self) -> PartitionLabel:
+        return _optimal_label(self._params, self.k)
 
 
 @dataclass(frozen=True)
@@ -128,6 +235,48 @@ def _tie_flags(params: DiagParams, k: int) -> list[str]:
     return []
 
 
+def _minimize(params: DiagParams, left=None, right=None) -> MinimizerSet:
+    """Minimizer set of W(.; diag(params.d)) in the frames (left, right).
+
+    See ``MinimizerRotations`` for the frames.  Warns, on behalf of the
+    public caller, when an active tie makes the minimizers non-isolated.
+    """
+    k = optimal_k(params)
+    sd = params.sorted_d.tolist()
+    flags: list[str] = []
+    if 2 * k + 1 < len(sd) and abs(sd[2 * k] + sd[2 * k + 1] - 2.0) <= BOUNDARY_TOL:
+        flags.append("boundary_case")
+
+    tie_flags = _tie_flags(params, k)
+    if tie_flags:
+        warnings.warn(
+            "tied diagonal entries: global minimizers form a continuous "
+            "family; returning representatives",
+            TiesNotStrictWarning,
+            stacklevel=3,
+        )
+    flags.extend(tie_flags)
+
+    cos_alphas = tuple(2.0 / (sd[2 * i] + sd[2 * i + 1]) for i in range(k))
+    # Summed term by term in this order, so the value does not depend on
+    # the Python version's float summation.
+    pair_sum = 0.0
+    for i in range(k):
+        pair_sum += (sd[2 * i] - sd[2 * i + 1]) ** 2
+    single_sum = 0.0
+    for j in range(2 * k, len(sd)):
+        single_sum += (sd[j] - 1.0) ** 2
+
+    return MinimizerSet(
+        k=k,
+        rotations=MinimizerRotations(params, k, left, right),
+        reduced_energy=0.5 * pair_sum + single_sum,
+        cos_alphas=cos_alphas,
+        flags=tuple(flags),
+        _params=params,
+    )
+
+
 def rpolar_diag(d) -> MinimizerSet:
     """All global minimizers of W(R; D) for positive diagonal parameters.
 
@@ -138,47 +287,7 @@ def rpolar_diag(d) -> MinimizerSet:
     With tied entries a representative of each minimizer family is returned
     and a ``TiesNotStrictWarning`` is emitted when the tie is active.
     """
-    params = as_diag(d)
-    sd = params.sorted_d
-    k = optimal_k(params)
-    flags: list[str] = []
-    if 2 * k + 1 < sd.size and abs(sd[2 * k] + sd[2 * k + 1] - 2.0) <= BOUNDARY_TOL:
-        flags.append("boundary_case")
-
-    tie_flags = _tie_flags(params, k)
-    if tie_flags:
-        warnings.warn(
-            "tied diagonal entries: global minimizers form a continuous "
-            "family; returning representatives",
-            TiesNotStrictWarning,
-            stacklevel=2,
-        )
-    flags.extend(tie_flags)
-
-    cos_alphas = tuple(float(2.0 / (sd[2 * i] + sd[2 * i + 1])) for i in range(k))
-    reduced = float(
-        0.5 * sum((sd[2 * i] - sd[2 * i + 1]) ** 2 for i in range(k))
-        + sum((sd[j] - 1.0) ** 2 for j in range(2 * k, sd.size))
-    )
-
-    # Minimizer m takes angle sign -1 on pair p where bit k-1-p of m is set,
-    # so the first pair's sign varies slowest.
-    m = np.arange(2**k)
-    rotations = np.repeat(np.eye(params.n)[None], 2**k, axis=0)
-    by_entry = rotations.transpose(1, 2, 0)
-    for p in range(k):
-        i, j = params.order[2 * p], params.order[2 * p + 1]
-        angle = 1 - 2 * ((m >> (k - 1 - p)) & 1)
-        _write_pair(by_entry, i, j, params.d[i], params.d[j], 1, angle)
-
-    return MinimizerSet(
-        k=k,
-        rotations=tuple(rotations),
-        reduced_energy=reduced,
-        label=_optimal_label(params, k),
-        cos_alphas=cos_alphas,
-        flags=tuple(flags),
-    )
+    return _minimize(as_diag(d))
 
 
 def rpolar_full(f) -> MinimizerSet:
@@ -187,25 +296,15 @@ def rpolar_full(f) -> MinimizerSet:
     Reduces to the diagonal problem through the polar decomposition: with
     F = V diag(s) W^T the polar factor is Q = V W^T, the relative problem
     is solved for diag(s), and each relative minimizer R maps to the
-    absolute rotation Q W R W^T.  The reduced energy is unchanged.  When F
-    has repeated singular values the eigenbasis W is not unique; the
-    returned rotations are representatives and the set is flagged
-    "non_isolated".
+    absolute rotation V R W^T = Q W R W^T.  The reduced energy is
+    unchanged.  When F has repeated singular values the eigenbasis W is not
+    unique; the returned rotations are representatives and the set is
+    flagged "non_isolated".
     """
-    a = as_matrix(f)
-    v, s, wh = _svd_polar(a)
-    q = v @ wh
-    w = wh.T
-    relative = rpolar_diag(s)
-    rotations = tuple(q @ w @ r @ w.T for r in relative.rotations)
-    return MinimizerSet(
-        k=relative.k,
-        rotations=rotations,
-        reduced_energy=relative.reduced_energy,
-        label=relative.label,
-        cos_alphas=relative.cos_alphas,
-        flags=relative.flags,
-    )
+    v, s, wh = _svd_polar(as_matrix(f))
+    # singular values come sorted, finite and positive (_svd_polar rejects
+    # rank deficiency), so they need no validation or sorting
+    return _minimize(DiagParams(d=s, order=np.arange(s.size)), v, wh.T)
 
 
 def rpolar_classical(f, mu: float, mu_c: float) -> np.ndarray:
@@ -431,15 +530,7 @@ def rpolar_signed_diag(d_signed) -> MinimizerSet:
             "orientation-reversing reflection: minimizers over SO(n) are "
             "not characterized for this sign pattern"
         )
-    base = rpolar_diag(info.abs_params)
     if np.all(info.signs > 0):
-        return base
-    j = info.reflection()
-    return MinimizerSet(
-        k=base.k,
-        rotations=tuple(r @ j for r in base.rotations),
-        reduced_energy=base.reduced_energy,
-        label=base.label,
-        cos_alphas=base.cos_alphas,
-        flags=base.flags + ("reflected",),
-    )
+        return _minimize(info.abs_params)
+    ms = _minimize(info.abs_params, right=info.signs)
+    return replace(ms, flags=ms.flags + ("reflected",))

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import rpolar as rp
+
 from rpolar.cli import (
     EXIT_DEGENERATE,
     EXIT_FAIL,
@@ -14,6 +16,7 @@ from rpolar.cli import (
     format_label,
     main,
     parse_label,
+    parse_matrix_file,
 )
 from rpolar.critical import PartitionLabel
 
@@ -95,6 +98,44 @@ class TestRpolarCmd:
     def test_parse_error(self, capsys):
         code, _, _ = run(capsys, "rpolar", "diag", "4,x,1")
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "mode, values, k",
+        [
+            ("diag", "0.9,0.7,0.5", 0),
+            ("diag", "4,2,1,0.5,0.25", 1),
+            ("diag", "0.5,2.8,1.6,2.2,1.9,2.5,3", 3),
+            ("diag", "-3,2.8,-2.5,2.2,1.9,1.6,0.5", 3),
+            ("full", "3,2.5,2.2,1.9,0.5", 2),
+        ],
+    )
+    def test_streamed_json_matches_json_dumps(self, capsys, tmp_path, mode, values, k):
+        # the payload as one json.dumps call writes it, built in memory
+        d = np.array([float(v) for v in values.split(",")])
+        if mode == "full":
+            f = rp.random_rotation(d.size, 7) @ np.diag(d) @ rp.random_rotation(d.size, 8).T
+            path = tmp_path / "f.txt"
+            path.write_text("\n".join(" ".join(repr(float(x)) for x in row) for row in f))
+            ms = rp.rpolar_full(parse_matrix_file(str(path)))
+            argv = ("rpolar", "full", str(path))
+        else:
+            ms = rp.rpolar_signed_diag(d) if np.any(d < 0) else rp.rpolar_diag(d)
+            argv = ("rpolar", "diag", "--", values)
+        assert ms.k == k
+        payload = {
+            "schema": "rpolar/1",
+            "kind": "minimizer_set",
+            "n": d.size,
+            "k": ms.k,
+            "reduced_energy": ms.reduced_energy,
+            "cos_alphas": list(ms.cos_alphas),
+            "label": ms.label.to_dict(),
+            "rotations": [[float(x) for x in r.reshape(-1)] for r in ms.rotations],
+            "flags": list(ms.flags),
+        }
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out == json.dumps(payload) + "\n"
 
 
 class TestCriticalCmd:

@@ -358,3 +358,120 @@ class TestReflectNegative:
     def test_signed_solver_rejects_reversed(self):
         with pytest.raises(DegenerateD):
             rp.rpolar_signed_diag([2.0, -3.0, 1.0])
+
+
+def _spectrum(rng, n, k):
+    """Descending values with exactly k leading pairs, 0.2 from the boundary."""
+    top = np.sort(rng.uniform(1.1, 3.0, 2 * k))[::-1]
+    rest = np.sort(rng.uniform(0.1, 0.9, n - 2 * k))[::-1]
+    return np.concatenate([top, rest])
+
+
+def _full_matrix(rng, d):
+    n = d.size
+    return rp.random_rotation(n, rng) @ np.diag(d) @ rp.random_rotation(n, rng).T
+
+
+def _full_stationarity(r, f):
+    # critical points of ||sym(R^T F - I)||^2 have skew((R^T F - I)^2) = 0
+    x = r.T @ f - np.eye(f.shape[0])
+    return rp.frob_norm(rp.skew(x @ x))
+
+
+class TestLazyRotations:
+    def test_length_is_two_to_k(self):
+        rng = np.random.default_rng(1)
+        for n, k in ((1, 0), (3, 0), (3, 1), (6, 3), (9, 4)):
+            d = _spectrum(rng, n, k)
+            f = _full_matrix(rng, d)
+            for ms in (rp.rpolar_diag(rng.permutation(d)), rp.rpolar_full(f)):
+                assert ms.k == k
+                assert len(ms.rotations) == 2**k
+                assert len(list(ms.rotations)) == 2**k
+
+    def test_negative_and_out_of_range_indices(self):
+        rng = np.random.default_rng(2)
+        d = _spectrum(rng, 7, 3)
+        for ms in (rp.rpolar_diag(d), rp.rpolar_full(_full_matrix(rng, d))):
+            rot = ms.rotations
+            for i in range(1, 9):
+                assert rot[-i].tobytes() == rot[8 - i].tobytes()
+            for bad in (8, 9, -9, 2**70, -(2**70)):
+                with pytest.raises(IndexError):
+                    rot[bad]
+            with pytest.raises(TypeError):
+                rot[1.0]
+            assert [r.tobytes() for r in rot[1:6:2]] == [rot[i].tobytes() for i in (1, 3, 5)]
+
+    def test_iteration_matches_indexing_across_chunks(self):
+        from rpolar.relaxed import CHUNK_BYTES
+
+        rng = np.random.default_rng(3)
+        n, k = 40, 9
+        assert 2**k > CHUNK_BYTES // (8 * n * n)  # several chunks, the last one partial
+        d = _spectrum(rng, n, k)
+        for ms in (rp.rpolar_diag(rng.permutation(d)), rp.rpolar_full(_full_matrix(rng, d))):
+            listed = list(ms.rotations)
+            assert len(listed) == 2**k
+            for i, r in enumerate(listed):
+                assert r.tobytes() == ms.rotations[i].tobytes()
+
+    def test_full_matches_conjugated_relative_minimizers(self):
+        # the previous construction: Q W R W^T for each relative minimizer R
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            f = rng.standard_normal((n, n)) + rng.uniform(0.0, 3.0) * np.eye(n)
+            if np.linalg.det(f) <= 0:
+                f[:, 0] *= -1.0
+            v, s, wh = np.linalg.svd(f)
+            q, w = v @ wh, wh.T
+            ms = rp.rpolar_full(f)
+            relative = rp.rpolar_diag(s)
+            assert ms.k == relative.k and len(ms.rotations) == len(relative.rotations)
+            for r, rel in zip(ms.rotations, relative.rotations):
+                np.testing.assert_allclose(r, q @ w @ rel @ w.T, rtol=0, atol=1e-13)
+
+    def test_reflected_set_equals_reflection_product(self):
+        d_signed = np.array([-3.0, 2.8, -2.5, 2.2, 1.9, 1.6, 0.5])
+        ms = rp.rpolar_signed_diag(d_signed)
+        base = rp.rpolar_diag(np.abs(d_signed))
+        assert ms.k == base.k == 3
+        assert "reflected" in ms.flags
+        j = np.diag(np.sign(d_signed))
+        assert len(ms.rotations) == 8
+        for r, b in zip(ms.rotations, base.rotations):
+            assert r.tobytes() == (b @ j).tobytes()
+
+    @pytest.mark.parametrize("entry", ["diag", "full"])
+    def test_huge_set_is_lazy(self, entry):
+        import tracemalloc
+
+        n, k = 200, 100
+        rng = np.random.default_rng(5)
+        d = _spectrum(rng, n, k)
+        f = _full_matrix(rng, d) if entry == "full" else None
+        tracemalloc.start()
+        try:
+            ms = rp.rpolar_diag(d) if entry == "diag" else rp.rpolar_full(f)
+            picked = [ms.rotations[i] for i in (0, -1, 2**99)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * n * n * 8
+        assert ms.k == k
+        # builtin len() stops at sys.maxsize, as for range
+        assert ms.rotations.__len__() == 2**100
+        scale = 1.0 + float(np.sum(d * d))
+        for r in picked:
+            assert rp.is_rotation(r)
+            if entry == "diag":
+                assert rp.energy(r, d) == pytest.approx(ms.reduced_energy, rel=1e-10)
+                assert rp.is_critical(r, d)
+            else:
+                assert rp.energy_weighted(r, f, 1.0, 0.0) == pytest.approx(
+                    ms.reduced_energy, rel=1e-10
+                )
+                assert _full_stationarity(r, f) <= 1e-9 * scale
+        # minimizer 2^99 flips only the first pair's angle sign: a rank-2 change
+        assert np.linalg.matrix_rank(picked[2] - picked[0]) == 2
