@@ -4,9 +4,9 @@ If X^2 is symmetric there is an orthogonal T such that T^-1 X T is
 block-diagonal with blocks of size at most two, each block squaring to a
 scalar multiple of the identity.  The construction is fully constructive:
 eigenspaces of S = X^2 are split off first (X preserves them because X
-commutes with its square), and inside each eigenspace a one- or
-two-dimensional invariant subspace is found from a common eigenvector of
-Y Y^T and Y^T Y, recursing on the orthogonal complement.
+commutes with its square), and inside each eigenspace a loop peels off
+one- or two-dimensional invariant subspaces, each found from a common
+eigenvector of Y Y^T and Y^T Y, continuing on the orthogonal complement.
 
 Orthogonality of T matters: it preserves the Frobenius norm, so the norm
 of X splits into per-block contributions.
@@ -145,16 +145,34 @@ def _invariant_subspace(y: np.ndarray, w: np.ndarray, eig_tol: float) -> np.ndar
 
 
 def _orth_complement_basis(v_basis: np.ndarray) -> np.ndarray:
-    """Complete an orthonormal set to a full orthonormal basis via QR."""
-    q, _ = np.linalg.qr(v_basis, mode="complete")
-    # QR may flip signs of the leading columns; re-impose the given basis.
-    q[:, : v_basis.shape[1]] = v_basis
-    # Re-orthogonalize the tail against the (already orthonormal) head.
-    tail = q[:, v_basis.shape[1] :]
-    tail = tail - v_basis @ (v_basis.T @ tail)
-    if tail.shape[1]:
-        tail, _ = np.linalg.qr(tail)
-    return np.hstack([v_basis, tail])
+    """Orthonormal basis of the orthogonal complement of an orthonormal set, via QR."""
+    tail = np.linalg.qr(v_basis, mode="complete")[0][:, v_basis.shape[1] :]
+    # Re-orthogonalize the tail against the (already orthonormal) given set.
+    return np.linalg.qr(tail - v_basis @ (v_basis.T @ tail))[0]
+
+
+def _peel(sub: np.ndarray, eig_tol: float):
+    """Invariant subspace to split off next, and its orthogonal complement.
+
+    Any common eigenvector works in exact arithmetic; the candidates are
+    scanned in order and the first whose invariant subspace leaks at most
+    ``eig_tol`` into its complement is kept, else the one that leaks
+    least, which guards near-degenerate clusters.  Returns orthonormal
+    bases (v_basis, tail) of the subspace and its complement.
+    """
+    cands = _common_eigvecs(sub)
+    best, best_leak = None, np.inf
+    for j in range(cands.shape[1]):
+        v_basis = _invariant_subspace(sub, cands[:, j], eig_tol)
+        if v_basis.shape[1] == sub.shape[0]:
+            return v_basis, np.zeros((sub.shape[0], 0))
+        tail = _orth_complement_basis(v_basis)
+        leak = np.linalg.norm(tail.T @ sub @ v_basis) + np.linalg.norm(v_basis.T @ sub @ tail)
+        if leak <= eig_tol:
+            return v_basis, tail
+        if leak < best_leak:
+            best, best_leak = (v_basis, tail), leak
+    return best
 
 
 def _split_symmetric_block(t_cols: np.ndarray, block: np.ndarray, lam: float):
@@ -170,14 +188,42 @@ def _split_symmetric_block(t_cols: np.ndarray, block: np.ndarray, lam: float):
     ]
 
 
+def _pieces(m: np.ndarray, lam: float, tol: float) -> list[tuple[np.ndarray, Block]]:
+    """(columns of T, block) pairs for Y with Y^2 = lam * I, in peel order.
+
+    Each pass splits an invariant subspace off with ``_peel``, writes its
+    block (a symmetric 2x2 block as two 1x1 blocks) and continues on the
+    restriction of Y to the complement.
+    """
+    n = m.shape[0]
+    norm_m = frob_norm(m)
+    if frob_norm(m @ m - lam * np.eye(n)) > tol * (1.0 + norm_m * norm_m):
+        raise NotLambdaSquare(f"matrix square is not {lam} * identity")
+    eig_tol = EIGVEC_TOL * (1.0 + norm_m)
+    split_tol = SPLIT_TOL * (1.0 + norm_m)
+    pieces: list[tuple[np.ndarray, Block]] = []
+    sub, cols = m, np.eye(n)
+    while sub.shape[0] > 1:
+        v_basis, tail = _peel(sub, eig_tol)
+        block = v_basis.T @ sub @ v_basis
+        if block.shape[0] == 2 and frob_norm(block - block.T) <= split_tol:
+            pieces.extend(_split_symmetric_block(cols @ v_basis, block, lam))
+        else:
+            pieces.append((cols @ v_basis, Block(entries=block, mu=lam)))
+        sub, cols = tail.T @ sub @ tail, cols @ tail
+    if sub.shape[0] == 1:
+        pieces.append((cols, Block(entries=sub.copy(), mu=lam)))
+    return pieces
+
+
 def scalar_square_blocks(y, lam: float, tol: float = TOL_BLOCK) -> BlockDecomposition:
     """Orthogonal block-diagonalization of Y with Y^2 = lam * I.
 
-    Peels off a one- or two-dimensional invariant subspace built from a
-    common eigenvector of Y Y^T and Y^T Y, then recurses on the orthogonal
-    complement.  Symmetric 2x2 blocks are split further, so symmetric
-    input yields only 1x1 blocks.  Output blocks are sorted by mu
-    descending, larger blocks first, then by leading entry.
+    Repeatedly peels off a one- or two-dimensional invariant subspace
+    built from a common eigenvector of Y Y^T and Y^T Y and continues on
+    the orthogonal complement.  Symmetric 2x2 blocks are split further,
+    so symmetric input yields only 1x1 blocks.  Output blocks are sorted
+    by mu descending, larger blocks first, then by leading entry.
 
     Raises
     ------
@@ -185,65 +231,7 @@ def scalar_square_blocks(y, lam: float, tol: float = TOL_BLOCK) -> BlockDecompos
         If ||Y^2 - lam*I||_F exceeds tol * (1 + ||Y||_F^2).
     """
     m = as_matrix(y)
-    n = m.shape[0]
-    norm_m = frob_norm(m)
-    if frob_norm(m @ m - lam * np.eye(n)) > tol * (1.0 + norm_m * norm_m):
-        raise NotLambdaSquare(f"matrix square is not {lam} * identity")
-
-    eig_tol = EIGVEC_TOL * (1.0 + norm_m)
-    split_tol = SPLIT_TOL * (1.0 + norm_m)
-    pieces: list[tuple[np.ndarray, Block]] = []  # (columns of T, block)
-
-    def recurse(sub: np.ndarray, cols: np.ndarray) -> None:
-        dim = sub.shape[0]
-        if dim == 0:
-            return
-        if dim == 1:
-            pieces.append((cols, Block(entries=sub.copy(), mu=lam)))
-            return
-        w = _pick_invariant(sub)
-        v_basis = _invariant_subspace(sub, w, eig_tol)
-        k = v_basis.shape[1]
-        if k == dim:
-            _emit(sub, v_basis, cols)
-            return
-        q = _orth_complement_basis(v_basis)
-        block = v_basis.T @ sub @ v_basis
-        _emit_block(block, cols @ v_basis)
-        tail = q[:, k:]
-        recurse(tail.T @ sub @ tail, cols @ tail)
-
-    def _pick_invariant(sub: np.ndarray) -> np.ndarray:
-        # Any common eigenvector works in exact arithmetic; scan the
-        # candidates and keep the one whose invariant subspace leaks least
-        # into its complement, which guards near-degenerate clusters.
-        cands = _common_eigvecs(sub)
-        best, best_leak = None, np.inf
-        for j in range(cands.shape[1]):
-            w = cands[:, j]
-            vb = _invariant_subspace(sub, w, eig_tol)
-            if vb.shape[1] == sub.shape[0]:
-                return w
-            q = _orth_complement_basis(vb)
-            tail = q[:, vb.shape[1] :]
-            leak = np.linalg.norm(tail.T @ sub @ vb) + np.linalg.norm(vb.T @ sub @ tail)
-            if leak <= eig_tol:
-                return w
-            if leak < best_leak:
-                best, best_leak = w, leak
-        return best
-
-    def _emit(sub: np.ndarray, v_basis: np.ndarray, cols: np.ndarray) -> None:
-        _emit_block(v_basis.T @ sub @ v_basis, cols @ v_basis)
-
-    def _emit_block(block: np.ndarray, cols: np.ndarray) -> None:
-        if block.shape[0] == 2 and frob_norm(block - block.T) <= split_tol:
-            pieces.extend(_split_symmetric_block(cols, block, lam))
-        else:
-            pieces.append((cols, Block(entries=block.copy(), mu=lam)))
-
-    recurse(m, np.eye(n))
-    return _assemble(pieces, n)
+    return _assemble(_pieces(m, lam, tol), m.shape[0])
 
 
 def _assemble(pieces: list[tuple[np.ndarray, Block]], n: int) -> BlockDecomposition:
@@ -278,13 +266,9 @@ def block_diagonalize(x, tol: float = TOL_BLOCK) -> BlockDecomposition:
         raise NotSymmetricSquare("matrix square has a nonzero skew part")
     n = m.shape[0]
     s = sym(m @ m)
-    pieces: list[tuple[np.ndarray, Block]] = []
-    for lam, basis in eigsplit_symmetric(s):
-        restricted = basis.T @ m @ basis
-        sub = scalar_square_blocks(restricted, lam, tol=tol)
-        pos = 0
-        for blk in sub.blocks:
-            cols = basis @ sub.basis[:, pos : pos + blk.size]
-            pieces.append((cols, blk))
-            pos += blk.size
+    pieces = [
+        (basis @ cols, blk)
+        for lam, basis in eigsplit_symmetric(s)
+        for cols, blk in _pieces(basis.T @ m @ basis, lam, tol)
+    ]
     return _assemble(pieces, n)

@@ -6,8 +6,9 @@ inputs and seeds produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure or other invalid argument,
 2 parse failure, 3 degenerate, reflective or non-finite input, 4 dimension
-over the enumeration or multistart guard, 5 not a symmetric square,
-6 infeasible label.  Every error prints one ``error:`` line to stderr.
+over the enumeration or multistart guard or minimizer output over
+``MAX_OUTPUT_ENTRIES``, 5 not a symmetric square, 6 infeasible label.
+Every error prints one ``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ EXIT_DEGENERATE = 3
 EXIT_TOO_LARGE = 4
 EXIT_NOT_SYMSQ = 5
 EXIT_INFEASIBLE = 6
+
+# Bound on the 2^k * n^2 rotation entries `rpolar rpolar` writes: 2^24
+# entries are 100-400 MB of JSON, and k >= 63 would never finish.
+MAX_OUTPUT_ENTRIES = 2**24
 
 
 class ParseFailure(Exception):
@@ -160,6 +165,8 @@ def cmd_rpolar(args) -> int:
         f = parse_matrix_file(args.input)
         ms = rpolar_full(f)
         n = f.shape[0]
+    if 2**ms.k * n * n > MAX_OUTPUT_ENTRIES:
+        raise TooLarge(f"2**{ms.k} minimizers of {n}x{n} exceed {MAX_OUTPUT_ENTRIES} entries")
     if args.format == "text":
         print(f"k = {ms.k}")
         print(f"reduced_energy = {ms.reduced_energy!r}")
@@ -403,30 +410,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# First matching entry wins, so subclasses come before RpolarError.
+_EXIT_CODES = (
+    (ParseFailure, EXIT_PARSE),
+    ((DegenerateD, NonInvertibleOrReflective, Degenerate), EXIT_DEGENERATE),
+    (TooLarge, EXIT_TOO_LARGE),
+    (NotSymmetricSquare, EXIT_NOT_SYMSQ),
+    (InfeasibleLabel, EXIT_INFEASIBLE),
+    (RpolarError, EXIT_FAIL),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseFailure as exc:
+    except (ParseFailure, RpolarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DegenerateD, NonInvertibleOrReflective, Degenerate) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except NotSymmetricSquare as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_SYMSQ
-    except InfeasibleLabel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except RpolarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 if __name__ == "__main__":
     sys.exit(main())

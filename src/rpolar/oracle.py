@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critical import _diag_values, _energy_batch, energy
-from .errors import RpolarError, StepTooLarge, TooLarge
-from .linalg import as_matrix, exp_skew_batch, frob_norm, haar_rotations
+from .critical import _diag_values, _energy_batch
+from .errors import Degenerate, DimensionMismatch, RpolarError, StepTooLarge, TooLarge
+from .linalg import as_matrix, exp_skew_batch, haar_rotations
 
 GTOL_DEFAULT = 1e-9
 ARMIJO_C = 1e-4
@@ -37,7 +37,9 @@ STEP_MAX = 2.0
 
 # Below this gradient norm the per-step energy decrease (about ||A||^2
 # over the curvature) approaches double-precision resolution of the energy
-# itself, so steps are accepted when they lower ||A|| instead.
+# itself, so steps are accepted when they lower ||A|| instead.  That
+# resolution scales with 1 + ||D||^2, so above ||D||^2 ~ 100 the switch
+# is 1e-7 * (1 + ||D||^2) instead.
 POLISH_GN = 1e-5
 
 
@@ -154,6 +156,7 @@ def _descend_batch(r0: np.ndarray, dv: np.ndarray, gtol: float, max_iter: int):
     diag = np.arange(iu.size)
     rcond = iu.size * np.finfo(float).eps
     eye_n = np.eye(n)
+    polish_gn = max(POLISH_GN, 1e-7 * (1.0 + float(dv @ dv)))
     e = _energy_batch(r, dv)
     gn = np.linalg.norm(_grad_batch(r, dv), axis=(-2, -1))
     active = gn > gtol
@@ -169,7 +172,7 @@ def _descend_batch(r0: np.ndarray, dv: np.ndarray, gtol: float, max_iter: int):
         jac = _jacobian_batch(ri, dv)
         w = np.linalg.eigvalsh(jac + np.swapaxes(jac, -1, -2)) / 2.0
         scale = np.abs(w).max(axis=-1)
-        polish = gn[idx] <= POLISH_GN
+        polish = gn[idx] <= polish_gn
         sigma = np.where(polish | (w[:, 0] > 0.0), 0.0, NEWTON_DELTA * scale - w[:, 0])
         # the relative shift rcond keeps J regular where the energy is
         # blind to a direction (zero d_i), too small to slow Newton
@@ -270,30 +273,31 @@ def brute_force_min(
 
 
 def _integrate(r0, dv, rhs, energy_fn, step, t_end, gtol):
+    """Lie-Euler steps R <- R exp(step * rhs(R)) with kernels that skip validation."""
     if step <= 0:
         raise RpolarError("step size must be positive")
     r = as_matrix(r0)
-    times = [0.0]
+    if r.shape[0] != dv.size:
+        raise DimensionMismatch("rotation and diagonal dimensions differ")
     states = [r.copy()]
     energies = [energy_fn(r)]
-    n_steps = int(round(t_end / step))
-    for k in range(n_steps):
+    if not np.isfinite(energies[0]):
+        raise Degenerate("flow energy is not finite at the start")
+    for k in range(int(round(t_end / step))):
         a = rhs(r)
-        if gtol is not None and frob_norm(a) <= gtol:
+        if gtol is not None and np.linalg.norm(a) <= gtol:
             break
-        r_next = r @ exp_skew_batch(step * a)
-        e_next = energy_fn(r_next)
-        if e_next > energies[-1] + 1e-9:
+        r = r @ exp_skew_batch(step * a)
+        e = energy_fn(r)
+        if e > energies[-1] + 1e-9:
             raise StepTooLarge(
-                f"energy increased by {e_next - energies[-1]:.3e} at t = "
+                f"energy increased by {e - energies[-1]:.3e} at t = "
                 f"{(k + 1) * step:g}; halve the step size"
             )
-        r = r_next
-        times.append((k + 1) * step)
-        states.append(r.copy())
-        energies.append(e_next)
+        states.append(r)
+        energies.append(e)
     return FlowTrajectory(
-        times=np.array(times),
+        times=step * np.arange(len(states)),
         states=tuple(states),
         energies=np.array(energies),
         step_size=step,
@@ -318,8 +322,8 @@ def integrate_flow(r0, d, step: float, t_end: float, gtol=None) -> FlowTrajector
     return _integrate(
         r0,
         dv,
-        rhs=lambda r: -riemannian_gradient(r, dv),
-        energy_fn=lambda r: energy(r, dv),
+        rhs=lambda r: -_grad_batch(r, dv),
+        energy_fn=lambda r: float(_energy_batch(r, dv)),
         step=step,
         t_end=t_end,
         gtol=gtol,

@@ -296,14 +296,20 @@ class TestErrorContract:
             (("rpolar", "full", "NAN_FILE"), EXIT_DEGENERATE),
             (("verify", "--batch", "1", "--n", "9"), EXIT_TOO_LARGE),
             (("flow", "4,2,1", "--step", "0"), EXIT_FAIL),
+            # k = 63: 2^63 minimizers, refused before any output
+            (
+                ("rpolar", "diag", ",".join(map(str, np.linspace(3.0, 1.2, 126)))),
+                EXIT_TOO_LARGE,
+            ),
         ],
     )
     def test_single_error_line(self, capsys, tmp_path, argv, expected):
         path = tmp_path / "nan.txt"
         path.write_text("1 0\n0 nan\n")
         argv = [str(path) if a == "NAN_FILE" else a for a in argv]
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == expected
+        assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 

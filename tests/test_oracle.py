@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rpolar as rp
-from rpolar.errors import StepTooLarge
+from rpolar.errors import Degenerate, DimensionMismatch, StepTooLarge
 from rpolar.oracle import _grad_batch, _jacobian_batch
 
 RNG = np.random.default_rng(1618)
@@ -127,6 +127,13 @@ class TestConvergence:
         report = rp.brute_force_min(d, n_starts=100, seed=n)
         assert report.n_converged == report.n_starts == 100
         assert report.best_value == pytest.approx(rp.rpolar_diag(d).reduced_energy, abs=1e-7)
+
+    def test_large_d_converges(self):
+        # energy near 5e5: the polish switch must scale with 1 + ||D||^2
+        d = [1000.0, 1.0, 0.5]
+        report = rp.brute_force_min(d, n_starts=100, seed=0)
+        assert report.n_converged == 100
+        assert report.best_value == pytest.approx(rp.rpolar_diag(d).reduced_energy, rel=1e-12)
 
     def test_energy_blind_direction(self):
         # with d_2 = d_3 = 0 the energy ignores rotations in the (2, 3)
@@ -265,3 +272,21 @@ class TestBiotFlow:
             0.5 * rp.frob_norm_sq(r0 @ np.diag([4.0, 2.0, 1.0]) - np.eye(3))
         )
         assert np.all(np.diff(traj.energies) <= 1e-9)
+
+
+@pytest.mark.parametrize("flow", [rp.integrate_flow, rp.biot_flow])
+class TestFlowValidation:
+    def test_dimension_mismatch(self, flow):
+        with pytest.raises(DimensionMismatch):
+            flow(np.eye(3), [2.0, 1.0], step=0.1, t_end=1.0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_values(self, flow):
+        with pytest.raises(Degenerate):
+            flow(np.eye(2), [np.inf, 1.0], step=0.1, t_end=1.0)
+
+    def test_start_state_is_a_copy(self, flow):
+        r0 = planar(0.3)
+        traj = flow(r0, [3.0, 1.0], step=0.1, t_end=1.0)
+        r0[0, 0] = 5.0
+        np.testing.assert_array_equal(traj.states[0], planar(0.3))
