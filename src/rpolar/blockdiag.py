@@ -260,6 +260,9 @@ def block_diagonalize(x, tol: float = TOL_BLOCK) -> BlockDecomposition:
     ------
     NotSymmetricSquare
         If ``is_symmetric_square(x, tol)`` fails.
+    NotLambdaSquare
+        If an eigenspace restriction of a noisy X that passes the check
+        above squares to no multiple of the identity within ``tol``.
     """
     m = as_matrix(x)
     if not is_symmetric_square(m, tol):

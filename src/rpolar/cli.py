@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .blockdiag import block_diagonalize
 from .critical import (
+    DEFAULT_MAX_N,
     PartitionLabel,
     SubsetLabel,
     as_diag,
@@ -264,6 +265,8 @@ def _random_strict_diag(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def cmd_verify(args) -> int:
     cases = []
+    if args.batch < 0 or args.n < 1:
+        raise ParseFailure(f"need --batch >= 0 and --n >= 1, got {args.batch} and {args.n}")
     if args.batch:
         rng = np.random.default_rng(args.seed)
         for _ in range(args.batch):
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical", help="enumerate critical points")
     p.add_argument("input", help="comma list of diagonal values")
     p.add_argument("--label", help="evaluate one label, e.g. '{1}+,{2,5}-,{3}-,{4}-'")
-    p.add_argument("--max-n", type=int, default=10, dest="max_n")
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("blockdiag", help="block-diagonalize a symmetric-square matrix")

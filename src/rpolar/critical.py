@@ -326,40 +326,69 @@ def _check_realizable(label: PartitionLabel, params: DiagParams) -> None:
             )
 
 
-def _write_pair(r, i, j, di, dj, det: int, angle) -> None:
+def _write_pair(r, i, j, di, dj, det: int) -> None:
     """Write the 2x2 critical block of the pair (i, j) (0-based) into r.
 
     cos a = 2 / (d_i + det d_j); the block is a rotation for det +1 and a
-    reflection for det -1, and ``angle`` (+-1) picks the sign of sin a.
-    ``r`` may carry a trailing batch axis, shape (n, n, m), with an array
-    of m angles.
+    reflection for det -1, written with angle sign +1 (sin a > 0).
     """
     c = 2.0 / (di + det * dj)
-    s = angle * math.sqrt(max(0.0, 1.0 - c * c))
+    s = math.sqrt(max(0.0, 1.0 - c * c))
     r[i, i], r[i, j], r[j, i], r[j, j] = c, -det * s, s, det * c
 
 
-def _place_subset(r: np.ndarray, sub: SubsetLabel, dv: np.ndarray) -> None:
-    if sub.size == 1:
-        i = sub.indices[0] - 1
-        r[i, i] = float(sub.det_sign)
-        return
-    i, j = (k - 1 for k in sub.indices)
-    _write_pair(r, i, j, dv[i], dv[j], sub.det_sign, sub.angle_sign)
+def _sign_bits(m: np.ndarray, k: int) -> np.ndarray:
+    """(len(m), k) angle-sign bits of int64 indices m: pair p takes bit k-1-p."""
+    # shifts past 63 select bits that are zero for every int64 index
+    shifts = np.minimum(k - 1 - np.arange(k), 63)
+    return (m[:, None] >> shifts) & 1
 
 
-def _realize_one(label: PartitionLabel, params: DiagParams) -> np.ndarray:
-    r = np.zeros((params.n, params.n))
+def _angle_variants(base, off, values, bits) -> np.ndarray:
+    """Copies of ``base``, one per row of a (batch, k) sign-bit array.
+
+    ``off`` = (i + j, j + i) locates the off-diagonal entries of the k pairs
+    (i[p], j[p]), written into ``base`` with angle sign +1, and ``values``
+    = ``base[off]``.  The angle sign is the sign of sin a, so a set bit p
+    negates exactly the two off-diagonal entries of pair p.
+    """
+    sigma = 1.0 - 2.0 * bits
+    out = np.repeat(base[None], bits.shape[0], axis=0)
+    out[:, off[0], off[1]] = np.concatenate([sigma, sigma], axis=1) * values
+    return out
+
+
+def _points(label: PartitionLabel, dv: np.ndarray) -> list[CriticalPoint]:
+    """The 2^m critical points of a checked label, ignoring its angle signs."""
+    base = np.zeros((dv.size, dv.size))
+    options, pairs = [], []
     for sub in label.subsets:
-        _place_subset(r, sub, params.d)
-    return r
+        i, j = sub.indices[0] - 1, sub.indices[-1] - 1
+        if sub.size == 1:
+            base[i, i] = sub.det_sign
+        else:
+            _write_pair(base, i, j, dv[i], dv[j], sub.det_sign)
+            pairs.append((i, j))
+        # angle signs: +1 for a singleton, +1 then -1 for a pair
+        angles = (1, -1)[: sub.size]
+        options.append(tuple(SubsetLabel(sub.indices, sub.det_sign, a) for a in angles))
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    off = (np.concatenate([i, j]), np.concatenate([j, i]))
+    bits = _sign_bits(np.arange(2 ** len(pairs), dtype=np.int64), len(pairs))
+    rotations = _angle_variants(base, off, base[off], bits)
+    value = float(sum(_subset_values(s, dv) for s in label.subsets))
+    return [
+        CriticalPoint(label=PartitionLabel(subsets=subs), rotation=r, value=value)
+        for subs, r in zip(itertools.product(*options), rotations)
+    ]
 
 
 def realize(label: PartitionLabel, d) -> list[CriticalPoint]:
     """Explicit rotations for a feasible label, one per angle-sign choice.
 
     Each two-element subset carries two symmetric critical rotations; the
-    returned list covers all 2^m combinations (m pairs), ordered with the
+    returned list covers all 2^m combinations (m pairs), whatever angle
+    signs ``label`` carries, with the first pair varying slowest and the
     +1 angle first per pair.  Every point satisfies the stationarity test
     and realizes ``critical_value(label, d)``.
 
@@ -370,22 +399,7 @@ def realize(label: PartitionLabel, d) -> list[CriticalPoint]:
     """
     params = as_diag(d)
     _check_realizable(label, params)
-    value = float(sum(_subset_values(s, params.d) for s in label.subsets))
-    pairs = label.pairs()
-    points = []
-    for signs in itertools.product((1, -1), repeat=len(pairs)):
-        sign_map = {p.indices: s for p, s in zip(pairs, signs)}
-        subs = tuple(
-            SubsetLabel(s.indices, s.det_sign, sign_map.get(s.indices, 1))
-            for s in label.subsets
-        )
-        concrete = PartitionLabel(subsets=subs)
-        points.append(
-            CriticalPoint(
-                label=concrete, rotation=_realize_one(concrete, params), value=value
-            )
-        )
-    return points
+    return _points(label, params.d)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -439,10 +453,5 @@ def enumerate_critical(d, max_n: int = DEFAULT_MAX_N):
         for combo in itertools.product(*options):
             if int(np.prod(combo)) != 1:
                 continue
-            label = PartitionLabel(
-                subsets=tuple(
-                    SubsetLabel(indices=sub, det_sign=sgn)
-                    for sub, sgn in zip(partition, combo)
-                )
-            )
-            yield from realize(label, params)
+            subsets = tuple(SubsetLabel(sub, sgn) for sub, sgn in zip(partition, combo))
+            yield from _points(PartitionLabel(subsets=subsets), params.d)

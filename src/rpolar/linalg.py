@@ -25,7 +25,6 @@ from .errors import (
 TOL_ORTH = 1e-10
 TOL_SYM = 1e-10
 TOL_DET = 1e-10
-TOL_RECON = 1e-10
 
 # Drift beyond which a would-be rotation is rejected instead of re-projected.
 MAX_ROTATION_DRIFT = 1e-8
@@ -108,8 +107,8 @@ def as_rotation(m, max_drift: float = MAX_ROTATION_DRIFT) -> np.ndarray:
     """Validate a rotation, re-orthonormalizing small drift.
 
     Drift up to ``max_drift`` (Frobenius) is repaired by polar projection,
-    which keeps flow integrators on the manifold without masking genuinely
-    wrong inputs; anything beyond is rejected.
+    so rounding is forgiven without masking genuinely wrong inputs;
+    anything beyond is rejected.
     """
     a = as_matrix(m)
     defect = orthogonality_defect(a)

@@ -258,6 +258,8 @@ def brute_force_min(
     n = dv.size
     if n > 8:
         raise TooLarge(f"n = {n} exceeds the multistart guard n <= 8")
+    if n == 0 or n_starts < 1:
+        raise RpolarError("need at least one diagonal value and one start")
     r0 = haar_rotations(n, n_starts, seed)
     r, e, conv, iters, _ = _descend_batch(r0, dv, gtol, max_iter)
     best = int(np.argmin(e))
@@ -274,8 +276,8 @@ def brute_force_min(
 
 def _integrate(r0, dv, rhs, energy_fn, step, t_end, gtol):
     """Lie-Euler steps R <- R exp(step * rhs(R)) with kernels that skip validation."""
-    if step <= 0:
-        raise RpolarError("step size must be positive")
+    if not (0 < step < np.inf and np.isfinite(float(t_end) / float(step))):
+        raise RpolarError("step must be positive and finite, and t_end / step finite")
     r = as_matrix(r0)
     if r.shape[0] != dv.size:
         raise DimensionMismatch("rotation and diagonal dimensions differ")

@@ -34,7 +34,9 @@ from .critical import (
     DiagParams,
     PartitionLabel,
     SubsetLabel,
+    _angle_variants,
     _pair_signs,
+    _sign_bits,
     _write_pair,
     as_diag,
     critical_value,
@@ -53,11 +55,12 @@ class MinimizerRotations(Sequence):
     Minimizer m is L B_m R^T: B_m is the identity with the k 2x2 rotation
     blocks written at the paired indices, and pair p takes angle sign -1
     where bit k-1-p of m is set, so the first pair's sign varies slowest
-    and +1 comes first.  Without a left frame L = I and B_m is written
-    entrywise, exactly as ``critical.realize`` writes it; the right frame
-    is then I or a reflection J, a column sign flip.  With the frames
-    (L, R) = (V, W) of F = V S W^T, each minimizer is a rank-2k update of
-    one fixed matrix, through the 2k paired columns of V and W.
+    and +1 comes first.  Without a left frame L = I and B_m is built by
+    ``critical._angle_variants``, as ``critical.realize`` builds it; the
+    right frame is then I or a reflection J, a column sign flip.  With
+    the frames (L, R) = (V, W) of F = V S W^T, each minimizer is a
+    rank-2k update of one fixed matrix, through the 2k paired columns of
+    V and W.
 
     Indexing builds one matrix in O(n^2 k) time and O(n^2) memory;
     iteration builds chunks of about ``CHUNK_BYTES`` with one batched call
@@ -78,12 +81,11 @@ class MinimizerRotations(Sequence):
         paired = params.order[: 2 * k]
         i, j = paired[0::2], paired[1::2]
         # B_0 has every block with angle sign +1, written by the one block
-        # writer.  The angle sign is the sign of sin a, so B_m differs from
-        # B_0 only in the sign of the off-diagonal entries of the pairs
-        # whose bit is set.
+        # writer; B_m differs from it only in the sign of the off-diagonal
+        # entries of the pairs whose bit is set.
         base = np.eye(self._n)
         for p in range(k):
-            _write_pair(base, i[p], j[p], params.d[i[p]], params.d[j[p]], 1, 1)
+            _write_pair(base, i[p], j[p], params.d[i[p]], params.d[j[p]], 1)
         if left is None:
             if right is not None:
                 # B_0 J flips column signs; + 0.0 turns the -0.0 of a flipped
@@ -116,21 +118,16 @@ class MinimizerRotations(Sequence):
 
     def __iter__(self):
         step = max(1, CHUNK_BYTES // (8 * self._n * self._n))
-        # shifts past 63 select bits that are zero for every int64 index
-        shifts = np.minimum(self.k - 1 - np.arange(self.k), 63)
         for start in range(0, self._count, step):
             m = np.arange(start, min(start + step, self._count), dtype=np.int64)
-            yield from self._build((m[:, None] >> shifts) & 1)
+            yield from self._build(_sign_bits(m, self.k))
 
     def _build(self, bits: np.ndarray) -> np.ndarray:
         """Minimizers for a (batch, k) array of sign bits, shape (batch, n, n)."""
-        sigma = 1.0 - 2.0 * bits
         if self._frames is None:
-            out = np.repeat(self._base[None], bits.shape[0], axis=0)
-            flips = np.concatenate([sigma, sigma], axis=1)
-            out[:, self._off[0], self._off[1]] = flips * self._off_values
-            return out
+            return _angle_variants(self._base, self._off, self._off_values, bits)
         left_p, off_rows = self._frames
+        sigma = 1.0 - 2.0 * bits
         out = (left_p * np.repeat(sigma, 2, axis=1)[:, None, :]) @ off_rows
         out += self._base
         return out
@@ -163,7 +160,7 @@ class MinimizerSet:
 
     @cached_property
     def label(self) -> PartitionLabel:
-        return _optimal_label(self._params, self.k)
+        return _relabel(_leading_pairs(self.k, self._params.n), self._params.order)
 
 
 @dataclass(frozen=True)
@@ -209,11 +206,6 @@ def optimal_k(d) -> int:
     while 2 * k + 1 < sd.size and _pair_signs(sd[2 * k], sd[2 * k + 1]):
         k += 1
     return k
-
-
-def _optimal_label(params: DiagParams, k: int) -> PartitionLabel:
-    user = [int(u) + 1 for u in params.order]
-    return _build_label(zip(user[0 : 2 * k : 2], user[1 : 2 * k : 2]), user[2 * k :])
 
 
 def _build_label(pairs, singles) -> PartitionLabel:
@@ -330,21 +322,12 @@ def rpolar_classical(f, mu: float, mu_c: float) -> np.ndarray:
 # -- minimizing scheme -------------------------------------------------------
 
 
-def _to_ranks(label: PartitionLabel, params: DiagParams) -> PartitionLabel:
-    rank_of = {int(u) + 1: r + 1 for r, u in enumerate(params.order)}
+def _relabel(label: PartitionLabel, index_of) -> PartitionLabel:
+    """``label`` with each 1-based index i renamed index_of[i - 1] + 1."""
+    rename = [int(u) + 1 for u in index_of]
     return PartitionLabel(
         subsets=tuple(
-            SubsetLabel(tuple(rank_of[i] for i in s.indices), s.det_sign, s.angle_sign)
-            for s in label.subsets
-        )
-    )
-
-
-def _from_ranks(label: PartitionLabel, params: DiagParams) -> PartitionLabel:
-    user_of = {r + 1: int(u) + 1 for r, u in enumerate(params.order)}
-    return PartitionLabel(
-        subsets=tuple(
-            SubsetLabel(tuple(user_of[i] for i in s.indices), s.det_sign, s.angle_sign)
+            SubsetLabel(tuple(rename[i - 1] for i in s.indices), s.det_sign, s.angle_sign)
             for s in label.subsets
         )
     )
@@ -391,19 +374,6 @@ def _disentangle(label: PartitionLabel, sd: np.ndarray) -> PartitionLabel:
     return _build_label(pairs, singles)
 
 
-def _shift_down(label: PartitionLabel) -> PartitionLabel:
-    # Move the (non-overlapping) blocks to the leading rank positions
-    # {1,2}, {3,4}, ...; sums only grow, so feasibility and monotonicity
-    # are preserved.
-    return _leading_pairs(len(label.pairs()), label.n)
-
-
-def _exhaust(label: PartitionLabel, sd: np.ndarray) -> PartitionLabel:
-    # After the shift every block sits at a leading position and admits a
-    # block, so joining singletons continues the leading run to optimal_k.
-    return _leading_pairs(optimal_k(sd), label.n)
-
-
 def _leading_pairs(k: int, n: int) -> PartitionLabel:
     pairs = [(2 * i + 1, 2 * i + 2) for i in range(k)]
     return _build_label(pairs, range(2 * k + 1, n + 1))
@@ -431,22 +401,28 @@ def scheme_minimize(start: PartitionLabel, d) -> SchemeTrace:
     critical_value(start, params)
     sd = params.sorted_d
 
-    current = _to_ranks(start, params)
+    # params.order maps sorted ranks to user indices, its inverse back
+    current = _relabel(start, np.argsort(params.order))
     rank_params = DiagParams.from_values(sd)
 
     steps = []
     for name, transform in (
         ("sign-flip", _flip_positive),
         ("disentangle", lambda lab: _disentangle(lab, sd)),
-        ("shift", _shift_down),
-        ("exhaust", lambda lab: _exhaust(lab, sd)),
+        # Move the (non-overlapping) blocks to the leading rank positions
+        # {1,2}, {3,4}, ...; sums only grow, so feasibility and monotonicity
+        # are preserved.
+        ("shift", lambda lab: _leading_pairs(len(lab.pairs()), lab.n)),
+        # After the shift every block sits at a leading position and admits a
+        # block, so joining singletons continues the leading run to optimal_k.
+        ("exhaust", lambda lab: _leading_pairs(optimal_k(sd), lab.n)),
     ):
         after = transform(current)
         steps.append(
             SchemeStep(
                 name=name,
-                label_before=_from_ranks(current, params),
-                label_after=_from_ranks(after, params),
+                label_before=_relabel(current, params.order),
+                label_after=_relabel(after, params.order),
                 value_before=critical_value(current, rank_params),
                 value_after=critical_value(after, rank_params),
             )
@@ -490,12 +466,14 @@ def reflect_negative(d_signed, tol: float = 1e-12) -> ReflectionInfo:
     Raises
     ------
     DegenerateD
-        If an entry vanishes or two entries cancel.
+        If an entry is not finite, vanishes or two entries cancel.
     """
     dv = np.atleast_1d(np.asarray(d_signed, dtype=float))
     if dv.ndim != 1 or dv.size == 0:
         raise DegenerateD("expected a non-empty vector of diagonal values")
-    scale = float(np.max(np.abs(dv))) if dv.size else 0.0
+    if not np.all(np.isfinite(dv)):
+        raise DegenerateD("diagonal values must be finite")
+    scale = float(np.max(np.abs(dv)))
     if scale == 0.0 or np.any(np.abs(dv) <= tol * scale):
         raise DegenerateD("diagonal entries must be nonzero")
     sums = dv[:, None] + dv[None, :]

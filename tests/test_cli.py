@@ -301,6 +301,13 @@ class TestErrorContract:
                 ("rpolar", "diag", ",".join(map(str, np.linspace(3.0, 1.2, 126)))),
                 EXIT_TOO_LARGE,
             ),
+            (("verify", "1,2", "--starts", "0"), EXIT_FAIL),
+            (("verify", "1,2", "--starts", "-5"), EXIT_FAIL),
+            (("flow", "3,1", "--t-end", "inf"), EXIT_FAIL),
+            (("flow", "3,1", "--t-end", "nan"), EXIT_FAIL),
+            (("flow", "3,1", "--step", "nan"), EXIT_FAIL),
+            (("verify", "--batch", "-1"), EXIT_PARSE),
+            (("verify", "--batch", "1", "--n", "-1"), EXIT_PARSE),
         ],
     )
     def test_single_error_line(self, capsys, tmp_path, argv, expected):

@@ -213,6 +213,23 @@ class TestRealize:
         with pytest.raises(InfeasibleLabel):
             rp.realize(label_of(((1, 2), -1), ((3,), -1)), [3.0, 1.5, 1.0])
 
+    def test_input_angle_signs_ignored_and_order(self):
+        d = [5.0, 3.0, 0.5, 2.5, 0.4]
+        subs = [((1, 5), -1), ((2, 4), 1), ((3,), -1)]
+        plus = rp.realize(label_of(*subs), d)
+        minus = rp.realize(
+            PartitionLabel(tuple(SubsetLabel(s, g, -1) for s, g in subs)), d
+        )
+        assert [p.label.to_dict() for p in plus] == [p.label.to_dict() for p in minus]
+        for a, b in zip(plus, minus):
+            assert a.rotation.tobytes() == b.rotation.tobytes()
+            assert a.value == b.value
+        # first pair slowest, +1 before -1 per pair; singletons keep +1
+        angles = [[s.angle_sign for s in p.label.subsets] for p in plus]
+        assert angles == [[1, 1, 1], [1, -1, 1], [-1, 1, 1], [-1, -1, 1]]
+        assert plus[0].rotation[1, 3] == -plus[1].rotation[1, 3] != 0.0
+        assert plus[0].rotation[0, 4] == -plus[2].rotation[0, 4] != 0.0
+
 
 class TestEnumerate:
     def test_so1(self):
@@ -251,6 +268,20 @@ class TestEnumerate:
     def test_ties_warn(self):
         with pytest.warns(NonIsolatedWarning):
             list(rp.enumerate_critical([2.0, 2.0]))
+
+    def test_points_equal_realize_bitwise(self):
+        d = np.array([4.0, 0.3, 2.6, 0.5, 1.9])
+        points = list(rp.enumerate_critical(d))
+        assert any(s.det_sign == -1 for p in points for s in p.label.pairs())
+        at = 0
+        while at < len(points):
+            realized = rp.realize(points[at].label, d)
+            for want in realized:
+                got = points[at]
+                assert got.label.to_dict() == want.label.to_dict()
+                assert got.rotation.tobytes() == want.rotation.tobytes()
+                assert got.value == want.value
+                at += 1
 
     def test_realizable_labels_roundtrip(self):
         # every random realizable label appears among the enumerated ones

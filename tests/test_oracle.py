@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rpolar as rp
-from rpolar.errors import Degenerate, DimensionMismatch, StepTooLarge
+from rpolar.errors import Degenerate, DimensionMismatch, RpolarError, StepTooLarge
 from rpolar.oracle import _grad_batch, _jacobian_batch
 
 RNG = np.random.default_rng(1618)
@@ -214,6 +214,11 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             rp.brute_force_min(np.linspace(3, 1, 9))
 
+    @pytest.mark.parametrize("d, n_starts", [([], 10), ([2.0, 1.0], 0), ([2.0, 1.0], -5)])
+    def test_nothing_to_search_rejected(self, d, n_starts):
+        with pytest.raises(RpolarError):
+            rp.brute_force_min(d, n_starts=n_starts)
+
 
 class TestIntegrateFlow:
     def test_identity_start_is_constant(self):
@@ -284,6 +289,14 @@ class TestFlowValidation:
     def test_non_finite_values(self, flow):
         with pytest.raises(Degenerate):
             flow(np.eye(2), [np.inf, 1.0], step=0.1, t_end=1.0)
+
+    @pytest.mark.parametrize(
+        "step, t_end",
+        [(np.nan, 1.0), (np.inf, 1.0), (-0.1, 1.0), (0.1, np.inf), (0.1, np.nan), (1e-300, 1e300)],
+    )
+    def test_non_finite_schedule_rejected(self, flow, step, t_end):
+        with pytest.raises(RpolarError):
+            flow(np.eye(2), [3.0, 1.0], step=step, t_end=t_end)
 
     def test_start_state_is_a_copy(self, flow):
         r0 = planar(0.3)

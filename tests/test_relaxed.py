@@ -350,10 +350,15 @@ class TestReflectNegative:
             rhs = rp.frob_norm_sq(rp.sym((r @ j) @ np.diag(np.abs(d_signed)) - np.eye(4)))
             assert lhs == pytest.approx(rhs, rel=1e-13)
 
-    @pytest.mark.parametrize("bad", [[0.0, 1.0], [2.0, -2.0], [1.0, 3.0, -3.0]])
+    @pytest.mark.parametrize(
+        "bad",
+        [[0.0, 1.0], [2.0, -2.0], [1.0, 3.0, -3.0], [np.inf, -1.0], [2.0, np.nan, -1.0]],
+    )
     def test_degenerate_rejected(self, bad):
-        with pytest.raises(DegenerateD):
+        with pytest.raises(DegenerateD) as exc:
             rp.reflect_negative(bad)
+        # the message names the real fault, not a zero entry at scale inf
+        assert ("finite" in str(exc.value)) == (not np.all(np.isfinite(bad)))
 
     def test_signed_solver_rejects_reversed(self):
         with pytest.raises(DegenerateD):
