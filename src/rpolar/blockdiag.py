@@ -4,9 +4,11 @@ If X^2 is symmetric there is an orthogonal T such that T^-1 X T is
 block-diagonal with blocks of size at most two, each block squaring to a
 scalar multiple of the identity.  The construction is fully constructive:
 eigenspaces of S = X^2 are split off first (X preserves them because X
-commutes with its square), and inside each eigenspace a loop peels off
-one- or two-dimensional invariant subspaces, each found from a common
-eigenvector of Y Y^T and Y^T Y, continuing on the orthogonal complement.
+commutes with its square).  On each, the restriction Y has Y^2 = lam * I,
+and one eigendecomposition of Y^T Y gives every block at once: its
+eigenvectors for eigenvalues s > |lam| span 2x2 blocks together with
+their images under Y, and on the rest Y / sqrt|lam| is orthogonal, hence
+symmetric or skew.
 
 Orthogonality of T matters: it preserves the Frobenius norm, so the norm
 of X splits into per-block contributions.
@@ -27,14 +29,6 @@ TOL_BLOCK = 1e-8
 
 # Relative eigenvalue gap below which eigenvalues of S are clustered.
 CLUSTER_GAP = 1e-8
-
-# w counts as an eigenvector of Y when the residual of the Rayleigh
-# quotient is below this times (1 + ||Y||_F).
-EIGVEC_TOL = 1e-8
-
-# A 2x2 block is split into two 1x1 blocks only when its skew part is at
-# rounding level; the acceptance tolerances above leave ample headroom.
-SPLIT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,10 +87,14 @@ def eigsplit_symmetric(s, gap: float = CLUSTER_GAP) -> list[tuple[float, np.ndar
     eigenvalue descending; the bases are mutually orthonormal and together
     span R^n.
     """
-    m = sym(s)
-    w, v = np.linalg.eigh(m)
+    return _eigsplit(s, gap, 0.0)
+
+
+def _eigsplit(s, gap: float, floor: float) -> list[tuple[float, np.ndarray]]:
+    """``eigsplit_symmetric`` merging eigenvalues closer than ``floor`` too."""
+    w, v = np.linalg.eigh(sym(s))
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    tau = gap * scale
+    tau = max(gap * scale, floor)
     clusters: list[tuple[float, np.ndarray]] = []
     start = 0
     for i in range(1, len(w) + 1):
@@ -108,122 +106,81 @@ def eigsplit_symmetric(s, gap: float = CLUSTER_GAP) -> list[tuple[float, np.ndar
     return clusters
 
 
-def _common_eigvecs(y: np.ndarray) -> np.ndarray:
-    """Columns are common eigenvectors of Y^T Y and Y Y^T.
+def _planes(m: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the planes span{p, Y p} and of their complement.
 
-    The two Gram matrices commute whenever Y^2 is a scalar matrix, so each
-    eigenvalue cluster of Y^T Y is invariant under Y Y^T; diagonalizing
-    the restriction refines the cluster basis into common eigenvectors.
+    p runs over the eigenvectors of G = Y^T Y for eigenvalues s above
+    |lam| + ``CLUSTER_GAP`` * max(s).  The plane basis is interleaved
+    (p_1, q_1, p_2, q_2, ...), q_j = Y p_j / sqrt(s_j) made orthogonal.
     """
-    gram_r = y.T @ y
-    gram_l = y @ y.T
-    cols = []
-    for _, basis in eigsplit_symmetric(gram_r):
-        restricted = basis.T @ gram_l @ basis
-        _, q = np.linalg.eigh(sym(restricted))
-        cols.append(basis @ q)
-    return np.hstack(cols)
-
-
-def _invariant_subspace(y: np.ndarray, w: np.ndarray, eig_tol: float) -> np.ndarray:
-    """One- or two-dimensional Y- and Y^T-invariant subspace containing w.
-
-    Returns an orthonormal basis (n, 1) or (n, 2).  Three cases: w is an
-    eigenvector of both Y and Y^T (span{w}); of Y only (span{w, Y^T w});
-    of neither (span{w, Y w}).
-    """
-    yw = y @ w
-    ytw = y.T @ w
-    is_right = np.linalg.norm(yw - (w @ yw) * w) <= eig_tol
-    is_left = np.linalg.norm(ytw - (w @ ytw) * w) <= eig_tol
-    if is_right and is_left:
-        return w[:, None]
-    second = ytw if is_right else yw
-    u = second - (w @ second) * w
-    u = u / np.linalg.norm(u)
-    return np.stack([w, u], axis=1)
-
-
-def _orth_complement_basis(v_basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of an orthonormal set, via QR."""
-    tail = np.linalg.qr(v_basis, mode="complete")[0][:, v_basis.shape[1] :]
-    # Re-orthogonalize the tail against the (already orthonormal) given set.
-    return np.linalg.qr(tail - v_basis @ (v_basis.T @ tail))[0]
-
-
-def _peel(sub: np.ndarray, eig_tol: float):
-    """Invariant subspace to split off next, and its orthogonal complement.
-
-    Any common eigenvector works in exact arithmetic; the candidates are
-    scanned in order and the first whose invariant subspace leaks at most
-    ``eig_tol`` into its complement is kept, else the one that leaks
-    least, which guards near-degenerate clusters.  Returns orthonormal
-    bases (v_basis, tail) of the subspace and its complement.
-    """
-    cands = _common_eigvecs(sub)
-    best, best_leak = None, np.inf
-    for j in range(cands.shape[1]):
-        v_basis = _invariant_subspace(sub, cands[:, j], eig_tol)
-        if v_basis.shape[1] == sub.shape[0]:
-            return v_basis, np.zeros((sub.shape[0], 0))
-        tail = _orth_complement_basis(v_basis)
-        leak = np.linalg.norm(tail.T @ sub @ v_basis) + np.linalg.norm(v_basis.T @ sub @ tail)
-        if leak <= eig_tol:
-            return v_basis, tail
-        if leak < best_leak:
-            best, best_leak = (v_basis, tail), leak
-    return best
-
-
-def _split_symmetric_block(t_cols: np.ndarray, block: np.ndarray, lam: float):
-    """Split a symmetric 2x2 block into two ordered 1x1 blocks."""
-    w, q = np.linalg.eigh(sym(block))
-    order = np.argsort(-w)
-    w = w[order]
-    q = q[:, order]
-    cols = t_cols @ q
-    return [
-        (cols[:, 0:1], Block(entries=np.array([[w[0]]]), mu=lam)),
-        (cols[:, 1:2], Block(entries=np.array([[w[1]]]), mu=lam)),
-    ]
+    n = m.shape[0]
+    w, v = np.linalg.eigh(m.T @ m)
+    yv = m @ v
+    big = w > abs(lam) + CLUSTER_GAP * w.max(initial=0.0)
+    # Y^2 = lam * I makes p orthogonal to Y p; a p that Y nearly keeps
+    # fixed is noise, as in a tiny Y that passes the lam-square check for
+    # any small lam, and stays in the complement.
+    big &= np.abs(np.sum(v * yv, axis=0)) < 0.5 * np.sqrt(np.abs(w))
+    if not big.any():
+        return v[:, :0], v
+    pairs = np.stack([v[:, big], yv[:, big] / np.sqrt(w[big])], axis=2)
+    pairs = pairs.reshape(n, 2 * pairs.shape[1])
+    basis = np.linalg.qr(pairs, mode="complete")[0]
+    return basis[:, : pairs.shape[1]], basis[:, pairs.shape[1] :]
 
 
 def _pieces(m: np.ndarray, lam: float, tol: float) -> list[tuple[np.ndarray, Block]]:
-    """(columns of T, block) pairs for Y with Y^2 = lam * I, in peel order.
+    """(columns of T, block) pairs for Y with Y^2 = lam * I.
 
-    Each pass splits an invariant subspace off with ``_peel``, writes its
-    block (a symmetric 2x2 block as two 1x1 blocks) and continues on the
-    restriction of Y to the complement.
+    An eigenvector p of G = Y^T Y for s > |lam| is mapped by Y to
+    sqrt(s) q, with q the unit eigenvector for lam^2 / s, and q back to
+    lam / sqrt(s) p, so each such p carries a 2x2 block on span{p, q}.
+    On the rest G = |lam| I, so Y / sqrt|lam| is orthogonal there with
+    square sign(lam) I, hence symmetric (1x1 blocks on its eigenvectors)
+    or skew (2x2 blocks on the real and imaginary parts of its complex
+    eigenvectors).
     """
     n = m.shape[0]
     norm_m = frob_norm(m)
     if frob_norm(m @ m - lam * np.eye(n)) > tol * (1.0 + norm_m * norm_m):
         raise NotLambdaSquare(f"matrix square is not {lam} * identity")
-    eig_tol = EIGVEC_TOL * (1.0 + norm_m)
-    split_tol = SPLIT_TOL * (1.0 + norm_m)
-    pieces: list[tuple[np.ndarray, Block]] = []
-    sub, cols = m, np.eye(n)
-    while sub.shape[0] > 1:
-        v_basis, tail = _peel(sub, eig_tol)
-        block = v_basis.T @ sub @ v_basis
-        if block.shape[0] == 2 and frob_norm(block - block.T) <= split_tol:
-            pieces.extend(_split_symmetric_block(cols @ v_basis, block, lam))
-        else:
-            pieces.append((cols @ v_basis, Block(entries=block, mu=lam)))
-        sub, cols = tail.T @ sub @ tail, cols @ tail
-    if sub.shape[0] == 1:
-        pieces.append((cols, Block(entries=sub.copy(), mu=lam)))
-    return pieces
+    planes, rest = _planes(m, lam)
+    if planes.size and rest.shape[1] > 1:
+        # max(s) may dwarf |lam|; a second pass at the scale of the rest
+        # finds the planes whose s lies within CLUSTER_GAP * max(s) of |lam|.
+        more, rest_of_rest = _planes(rest.T @ m @ rest, lam)
+        planes = np.hstack([planes, rest @ more])
+        rest = rest @ rest_of_rest
+    k = rest.T @ m @ rest
+    if k.shape[0] % 2 or frob_norm(skew(k)) <= frob_norm(sym(k)):
+        width = 1
+        rest = rest @ np.linalg.eigh(sym(k))[1]
+    else:
+        # Largest rotations first: should k be nearly singular, the QR
+        # then completes the planes with a basis of its near-null space.
+        width = 2
+        u = np.linalg.eigh(1j * skew(k))[1][:, ::-1][:, : k.shape[0] // 2]
+        rotations = np.stack([u.real, u.imag], axis=2).reshape(k.shape[0], -1)
+        rest = rest @ np.linalg.qr(rotations)[0]
+    cols = np.hstack([planes, rest])
+    mc = m @ cols
+    edges = [*range(0, planes.shape[1], 2), *range(planes.shape[1], n + 1, width)]
+    return [
+        (cols[:, a:b], Block(entries=cols[:, a:b].T @ mc[:, a:b], mu=lam))
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
 
 
 def scalar_square_blocks(y, lam: float, tol: float = TOL_BLOCK) -> BlockDecomposition:
     """Orthogonal block-diagonalization of Y with Y^2 = lam * I.
 
-    Repeatedly peels off a one- or two-dimensional invariant subspace
-    built from a common eigenvector of Y Y^T and Y^T Y and continues on
-    the orthogonal complement.  Symmetric 2x2 blocks are split further,
-    so symmetric input yields only 1x1 blocks.  Output blocks are sorted
-    by mu descending, larger blocks first, then by leading entry.
+    Each eigenvector p of Y^T Y for an eigenvalue above |lam| spans a 2x2
+    block with Y p; the rest, where Y / sqrt|lam| is orthogonal, splits
+    into 1x1 blocks if Y is symmetric there and into 2x2 blocks if it is
+    skew.  Symmetric input therefore yields only 1x1 blocks, and so may a
+    2x2 block whose skew part is below about ``CLUSTER_GAP`` times its
+    norm, within ``tol``.  Output blocks are sorted by mu descending,
+    larger blocks first, then by leading entry.
 
     Raises
     ------
@@ -251,8 +208,11 @@ def block_diagonalize(x, tol: float = TOL_BLOCK) -> BlockDecomposition:
     """Orthogonal block-diagonalization of X with symmetric square.
 
     Splits R^n into the eigenspaces of S = X^2 (which X preserves), runs
-    the scalar-square construction on each restriction, and concatenates.
-    Block mu values equal the eigenvalues of X^2, with multiplicity spread
+    the construction of ``scalar_square_blocks`` on each restriction, and
+    concatenates.  Eigenvalues of S closer than CLUSTER_GAP * max|eig S|
+    or than the rounding level 64 n eps ||X||_F^2 of X^2 share an
+    eigenspace, so a nilpotent X is one eigenspace with lam = 0.  Block
+    mu values equal the eigenvalues of X^2, with multiplicity spread
     across blocks.  The decomposition is not unique; this routine fixes
     one deterministic output.
 
@@ -268,10 +228,10 @@ def block_diagonalize(x, tol: float = TOL_BLOCK) -> BlockDecomposition:
     if not is_symmetric_square(m, tol):
         raise NotSymmetricSquare("matrix square has a nonzero skew part")
     n = m.shape[0]
-    s = sym(m @ m)
+    floor = 64 * n * np.finfo(float).eps * frob_norm_sq(m)
     pieces = [
         (basis @ cols, blk)
-        for lam, basis in eigsplit_symmetric(s)
+        for lam, basis in _eigsplit(m @ m, CLUSTER_GAP, floor)
         for cols, blk in _pieces(basis.T @ m @ basis, lam, tol)
     ]
     return _assemble(pieces, n)

@@ -6,8 +6,9 @@ inputs and seeds produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure or other invalid argument,
 2 parse failure, 3 degenerate, reflective or non-finite input, 4 dimension
-over the enumeration or multistart guard or minimizer output over
-``MAX_OUTPUT_ENTRIES``, 5 not a symmetric square, 6 infeasible label.
+over the enumeration or multistart guard, or minimizers or flow states
+over ``MAX_OUTPUT_ENTRIES`` entries, 5 not a symmetric square, 6 infeasible
+label.
 Every error prints one ``error:`` line to stderr.
 """
 
@@ -40,7 +41,7 @@ from .errors import (
     RpolarError,
     TooLarge,
 )
-from .linalg import exp_skew, frob_norm_sq, random_rotation, skew
+from .linalg import MAX_OUTPUT_ENTRIES, exp_skew, frob_norm_sq, random_rotation, skew
 from .oracle import biot_flow, brute_force_min, integrate_flow
 from .relaxed import (
     MinimizerSet,
@@ -59,10 +60,6 @@ EXIT_DEGENERATE = 3
 EXIT_TOO_LARGE = 4
 EXIT_NOT_SYMSQ = 5
 EXIT_INFEASIBLE = 6
-
-# Bound on the 2^k * n^2 rotation entries `rpolar rpolar` writes: 2^24
-# entries are 100-400 MB of JSON, and k >= 63 would never finish.
-MAX_OUTPUT_ENTRIES = 2**24
 
 
 class ParseFailure(Exception):

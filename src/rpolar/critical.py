@@ -208,13 +208,18 @@ class CriticalPoint:
     value: float
 
 
-def energy(r, d) -> float:
-    """Cosserat shear-stretch energy ||sym(R D - I)||_F^2."""
+def _checked(r, d) -> tuple[np.ndarray, np.ndarray]:
+    """Validated rotation and diagonal values of matching dimension."""
     rm = as_matrix(r)
     dv = _diag_values(d)
     if rm.shape[0] != dv.size:
         raise DimensionMismatch("rotation and diagonal dimensions differ")
-    return float(_energy_batch(rm, dv))
+    return rm, dv
+
+
+def energy(r, d) -> float:
+    """Cosserat shear-stretch energy ||sym(R D - I)||_F^2."""
+    return float(_energy_batch(*_checked(r, d)))
 
 
 def _energy_batch(r: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -222,6 +227,13 @@ def _energy_batch(r: np.ndarray, dv: np.ndarray) -> np.ndarray:
     x = r * dv[None, :] - np.eye(dv.size)
     s = (x + np.swapaxes(x, -1, -2)) / 2.0
     return np.sum(s * s, axis=(-2, -1))
+
+
+def _grad_batch(r: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Gradient skew((R^T D - I)^2) / 2 of each matrix in a batch, without validation."""
+    x = np.swapaxes(r, -1, -2) * dv[None, :] - np.eye(dv.size)
+    xx = x @ x
+    return (xx - np.swapaxes(xx, -1, -2)) / 4.0
 
 
 def energy_weighted(rbar, f, mu: float, mu_c: float) -> float:
@@ -242,11 +254,12 @@ def energy_weighted(rbar, f, mu: float, mu_c: float) -> float:
 
 
 def stationarity_defect(r, d) -> float:
-    """||skew((R D - I)^2)||_F, zero exactly at critical points."""
-    rm = as_matrix(r)
-    dv = _diag_values(d)
-    x = rm * dv[None, :] - np.eye(dv.size)
-    return frob_norm(skew(x @ x))
+    """||skew((R D - I)^2)||_F, zero exactly at critical points.
+
+    Computed as twice the norm of the body-frame gradient
+    skew((R^T D - I)^2) / 2, which has the same norm.
+    """
+    return 2.0 * frob_norm(_grad_batch(*_checked(r, d)))
 
 
 def is_critical(r, d, tol: float = CRITICAL_TOL) -> bool:

@@ -29,6 +29,11 @@ TOL_DET = 1e-10
 # Drift beyond which a would-be rotation is rejected instead of re-projected.
 MAX_ROTATION_DRIFT = 1e-8
 
+# Bound on the matrix entries one call may produce: the 2^k n^2 rotation
+# entries `rpolar rpolar` writes (2^24 entries are 100-400 MB of JSON)
+# and the states a gradient flow keeps (128 MiB of doubles).
+MAX_OUTPUT_ENTRIES = 2**24
+
 
 def as_matrix(x) -> np.ndarray:
     """Validate a square real matrix; non-finite entries raise ``Degenerate``."""
@@ -195,10 +200,14 @@ def exp_skew(a, scale: float = 1.0) -> np.ndarray:
     ------
     NotSkew
         If ||A + A^T||_F exceeds ``TOL_SYM``.
+    Degenerate
+        If ``scale`` is not finite.
     """
     m = as_matrix(a)
     if frob_norm(m + m.T) > TOL_SYM:
         raise NotSkew("argument is not skew-symmetric")
+    if not np.isfinite(scale):
+        raise Degenerate("scale must be finite")
     m = (m - m.T) / 2.0
     r = exp_skew_batch(scale * m)
     return project_rotation(r)

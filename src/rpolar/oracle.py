@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critical import _diag_values, _energy_batch
-from .errors import Degenerate, DimensionMismatch, RpolarError, StepTooLarge, TooLarge
-from .linalg import as_matrix, exp_skew_batch, haar_rotations
+from .critical import _checked, _diag_values, _energy_batch, _grad_batch
+from .errors import Degenerate, RpolarError, StepTooLarge, TooLarge
+from .linalg import MAX_OUTPUT_ENTRIES, as_matrix, exp_skew_batch, haar_rotations
 
 GTOL_DEFAULT = 1e-9
 ARMIJO_C = 1e-4
@@ -87,16 +87,7 @@ def riemannian_gradient(r, d) -> np.ndarray:
     Vanishes exactly at the critical points of the energy; equals
     skew(R^T sym(R D - I) D), so d/dt W(R exp(tB))|_0 = 2 <A, B>.
     """
-    return _grad_batch(as_matrix(r), _diag_values(d))
-
-
-def _skew_np(m: np.ndarray) -> np.ndarray:
-    return (m - np.swapaxes(m, -1, -2)) / 2.0
-
-
-def _grad_batch(r: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    x = np.swapaxes(r, -1, -2) * dv[None, :] - np.eye(dv.size)
-    return 0.5 * _skew_np(x @ x)
+    return _grad_batch(*_checked(r, d))
 
 
 def _project_batch(r: np.ndarray) -> np.ndarray:
@@ -276,16 +267,21 @@ def brute_force_min(
 
 def _integrate(r0, dv, rhs, energy_fn, step, t_end, gtol):
     """Lie-Euler steps R <- R exp(step * rhs(R)) with kernels that skip validation."""
-    if not (0 < step < np.inf and np.isfinite(float(t_end) / float(step))):
-        raise RpolarError("step must be positive and finite, and t_end / step finite")
-    r = as_matrix(r0)
-    if r.shape[0] != dv.size:
-        raise DimensionMismatch("rotation and diagonal dimensions differ")
+    if not (0 < step < np.inf and t_end >= 0 and np.isfinite(float(t_end) / float(step))):
+        raise RpolarError(
+            "step must be positive and finite, t_end non-negative and t_end / step finite"
+        )
+    r, dv = _checked(r0, dv)
+    n_steps = int(round(t_end / step))
+    if (n_steps + 1) * dv.size**2 > MAX_OUTPUT_ENTRIES:
+        raise TooLarge(
+            f"{n_steps + 1} states of {dv.size}x{dv.size} exceed {MAX_OUTPUT_ENTRIES} entries"
+        )
     states = [r.copy()]
     energies = [energy_fn(r)]
     if not np.isfinite(energies[0]):
         raise Degenerate("flow energy is not finite at the start")
-    for k in range(int(round(t_end / step))):
+    for k in range(n_steps):
         a = rhs(r)
         if gtol is not None and np.linalg.norm(a) <= gtol:
             break
@@ -319,6 +315,9 @@ def integrate_flow(r0, d, step: float, t_end: float, gtol=None) -> FlowTrajector
     ------
     StepTooLarge
         If a step increases the energy by more than 1e-9.
+    TooLarge
+        If the (t_end / step + 1) states would hold more than
+        ``MAX_OUTPUT_ENTRIES`` entries; checked before the first step.
     """
     dv = _diag_values(d)
     return _integrate(
@@ -342,7 +341,8 @@ def biot_flow(r0, d, step: float, t_end: float, gtol=None) -> FlowTrajectory:
     dv = _diag_values(d)
 
     def rhs(r):
-        return _skew_np(r.T * dv[None, :])
+        m = r.T * dv[None, :]
+        return (m - m.T) / 2.0
 
     def energy_fn(r):
         x = r * dv[None, :] - np.eye(dv.size)

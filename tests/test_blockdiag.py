@@ -15,6 +15,17 @@ WORKED_Y = np.array(
 )
 
 
+QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def padded_rotated(y, n, seed):
+    """T diag(Y, 0) T^T for a seeded rotation T of dimension n >= dim Y."""
+    x = np.zeros((n, n))
+    x[: y.shape[0], : y.shape[0]] = y
+    t = rp.random_rotation(n, seed)
+    return t @ x @ t.T
+
+
 def check_decomposition(dec, x, tol=1e-8):
     n = x.shape[0]
     scale = 1.0 + rp.frob_norm(x)
@@ -100,6 +111,42 @@ class TestScalarSquareBlocks:
         with pytest.raises(NotLambdaSquare):
             rp.scalar_square_blocks(np.diag([1.0, 2.0]), 1.0)
 
+    @pytest.mark.parametrize(
+        "y",
+        [
+            [[1e-5]],
+            np.diag([1e-5, 2e-5, -1e-5]),
+            padded_rotated(np.diag([1e-5, 2e-5, -1e-5]), 3, seed=5),
+            1e-5 * QUARTER_TURN,
+            padded_rotated(1e-5 * QUARTER_TURN, 4, seed=3),
+            padded_rotated(np.kron(np.eye(2), 1e-5 * QUARTER_TURN), 4, seed=3),
+        ],
+        ids=["1x1", "diag", "diag-rotated", "quarter", "quarter-4d", "two-quarters-4d"],
+    )
+    def test_tiny_input_at_small_negative_lambda(self, y):
+        # ||Y|| ~ 1e-5 passes the lam-square check at lam = -1e-10 whatever
+        # Y is, so these need not square to lam * I at all
+        y = np.asarray(y, dtype=float)
+        dec = rp.scalar_square_blocks(y, -1e-10)
+        assert dec.basis.shape == y.shape
+        check_decomposition(dec, y)
+
+    def test_scale_separated_planes(self):
+        # one plane with G-eigenvalues 1e4 and 1e-4 beside a nearly
+        # symmetric block whose G-eigenvalues are 1 +- ~2 eps, both
+        # squaring to I exactly, so |lam| = 1 is dwarfed by max(G)
+        t = rp.random_rotation(4, 11)
+        for eps in (1e-5, 1e-6, 1e-7, 1e-8):
+            y = np.zeros((4, 4))
+            y[:2, :2] = [[0.0, 100.0], [0.01, 0.0]]
+            a = 0.6
+            b = np.sqrt(1.0 + eps * eps - a * a)
+            y[2:, 2:] = [[a, b + eps], [b - eps, -a]]
+            x = t @ y @ t.T
+            dec = rp.scalar_square_blocks(x, 1.0)
+            assert [blk.size for blk in dec.blocks] == [2, 2]
+            check_decomposition(dec, x)
+
     def test_negative_lambda_blocks(self):
         rng = np.random.default_rng(5)
         b1 = random_trace_zero_block(rng, -2.5)
@@ -166,10 +213,43 @@ class TestBlockDiagonalize:
         mus = [blk.mu for blk in a.blocks]
         assert mus == sorted(mus, reverse=True)
 
+    @pytest.mark.parametrize("eps", [10.0**-e for e in range(4, 14)])
+    def test_nearly_symmetric_block(self, eps):
+        # a 2x2 block with skew part eps beside symmetric blocks of the
+        # same square, in one eigenspace of X^2; below about CLUSTER_GAP
+        # the block may come back as two 1x1 blocks
+        lam = 1.0 - eps * eps
+        y = np.zeros((6, 6))
+        y[:2, :2] = [[0.6, 0.8 + eps], [0.8 - eps, -0.6]]
+        y[2, 2], y[3, 3] = np.sqrt(lam), -np.sqrt(lam)
+        y[4:, 4:] = [[0.0, 2.0], [lam / 2.0, 0.0]]
+        t = rp.random_rotation(6, 7)
+        x = t @ y @ t.T
+        check_decomposition(rp.block_diagonalize(x), x)
+        check_decomposition(rp.scalar_square_blocks(x, lam), x)
+
+    def test_rotated_nilpotents(self):
+        # X^2 = 0 is zero only up to rounding, so the eigenspace split of
+        # X^2 must not separate its eigenvalues at rounding level
+        t = rp.random_rotation(2, 0)
+        x = t @ np.array([[0.0, 1.0], [0.0, 0.0]]) @ t.T
+        dec = rp.block_diagonalize(x)
+        assert [b.size for b in dec.blocks] == [2]
+        check_decomposition(dec, x)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = 2 + seed % 7
+            y = np.zeros((n, n))
+            for j in range(int(rng.integers(1, n // 2 + 1))):
+                y[2 * j, 2 * j + 1] = rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
+            t = rp.random_rotation(n, rng)
+            x = t @ y @ t.T
+            dec = rp.block_diagonalize(x)
+            assert all(b.mu == pytest.approx(0.0, abs=1e-12) for b in dec.blocks)
+            check_decomposition(dec, x)
+
     def test_noisy_inputs(self):
         # Relative noise 1e-12..1e-8.5 on a synthesized symmetric square.
-        # Seeds 204, 229 and 904 are inputs whose first candidate vector
-        # leaks into its complement, so the candidate scan runs.
         for seed in range(1000):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(3, 10))

@@ -200,6 +200,17 @@ class TestBlockdiagCmd:
         assert code == EXIT_OK
         assert all(b["size"] == 1 for b in json.loads(out)["blocks"])
 
+    def test_rotated_nilpotent(self, capsys, tmp_path):
+        # T [[0, 1], [0, 0]] T^T for the rotation T with cos = 0.6, sin = -0.8
+        path = tmp_path / "n.txt"
+        path.write_text("0.48 0.36\n-0.64 -0.48\n")
+        code, out, _ = run(capsys, "blockdiag", str(path))
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert [b["size"] for b in data["blocks"]] == [2]
+        assert data["blocks"][0]["norm_sq"] == pytest.approx(1.0, abs=1e-12)
+        assert data["reconstruction_residual"] <= 1e-12
+
     def test_not_symmetric_square(self, capsys, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("1 1\n0 2\n")
@@ -308,8 +319,13 @@ class TestErrorContract:
             (("flow", "3,1", "--step", "nan"), EXIT_FAIL),
             (("verify", "--batch", "-1"), EXIT_PARSE),
             (("verify", "--batch", "1", "--n", "-1"), EXIT_PARSE),
+            (("flow", "3,1", "--t-end", "-5"), EXIT_FAIL),
+            # 5e13 steps at the default step: refused before the first one
+            (("flow", "3,1", "--t-end", "1e12"), EXIT_TOO_LARGE),
+            (("flow", "3,1", "--perturb", "inf"), EXIT_DEGENERATE),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_single_error_line(self, capsys, tmp_path, argv, expected):
         path = tmp_path / "nan.txt"
         path.write_text("1 0\n0 nan\n")

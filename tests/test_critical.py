@@ -117,6 +117,26 @@ def planar(alpha, det=1):
 
 
 class TestIsCritical:
+    def test_dimension_mismatch(self):
+        for check in (rp.is_critical, rp.stationarity_defect):
+            with pytest.raises(DimensionMismatch):
+                check(np.eye(3), [1.0, 2.0])
+
+    def test_defect_is_twice_the_gradient_norm(self):
+        # independent oracle: ||skew((R D - I)^2)||_F written out directly
+        rng = np.random.default_rng(31)
+        for n in range(1, 8):
+            for _ in range(20):
+                d = rng.uniform(0.1, 4.0, n)
+                r = rp.random_rotation(n, rng)
+                x = r @ np.diag(d) - np.eye(n)
+                direct = rp.frob_norm(x @ x - (x @ x).T) / 2.0
+                got = rp.stationarity_defect(r, d)
+                assert got == pytest.approx(direct, rel=1e-12, abs=1e-14)
+                assert got == pytest.approx(
+                    2.0 * rp.frob_norm(rp.riemannian_gradient(r, d)), rel=1e-14, abs=1e-15
+                )
+
     def test_identity_always_critical(self):
         for d in ([3.0, 1.0], [4.0, 2.0, 1.0, 0.5, 0.25], [0.3, 0.2]):
             assert rp.is_critical(np.eye(len(d)), d)

@@ -151,6 +151,13 @@ class TestExpSkew:
         with pytest.raises(NotSkew):
             rp.exp_skew(np.eye(2))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_scale_without_warnings(self, scale):
+        a = np.array([[0.0, -1.0], [1.0, 0.0]])
+        with pytest.raises(Degenerate):
+            rp.exp_skew(a, scale=scale)
+
 
 class TestRandomRotation:
     def test_so1_trivial(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rpolar as rp
-from rpolar.errors import Degenerate, DimensionMismatch, RpolarError, StepTooLarge
+from rpolar.errors import Degenerate, DimensionMismatch, RpolarError, StepTooLarge, TooLarge
 from rpolar.oracle import _grad_batch, _jacobian_batch
 
 RNG = np.random.default_rng(1618)
@@ -14,6 +14,10 @@ def planar(alpha):
 
 
 class TestGradient:
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            rp.riemannian_gradient(np.eye(3), [1.0, 2.0])
+
     def test_zero_at_identity_for_diagonal(self):
         a = rp.riemannian_gradient(np.eye(2), [3.0, 1.0])
         np.testing.assert_allclose(a, np.zeros((2, 2)), atol=1e-15)
@@ -297,6 +301,30 @@ class TestFlowValidation:
     def test_non_finite_schedule_rejected(self, flow, step, t_end):
         with pytest.raises(RpolarError):
             flow(np.eye(2), [3.0, 1.0], step=step, t_end=t_end)
+
+    @pytest.mark.parametrize("t_end", [-5.0, -1e-3])
+    def test_negative_t_end_rejected(self, flow, t_end):
+        with pytest.raises(RpolarError):
+            flow(np.eye(2), [3.0, 1.0], step=0.1, t_end=t_end)
+
+    def test_zero_t_end_keeps_the_start(self, flow):
+        traj = flow(np.eye(2), [3.0, 1.0], step=0.1, t_end=0.0)
+        assert len(traj.states) == 1
+
+    # 5e13 states of 2x2; 2^22 + 1 states of 2x2, one over the bound
+    @pytest.mark.parametrize("step, t_end", [(0.02, 1e12), (1.0, 2.0**22)])
+    def test_state_count_bounded_before_stepping(self, flow, monkeypatch, step, t_end):
+        def no_steps(a):
+            raise AssertionError("stepped before the bound was checked")
+
+        monkeypatch.setattr(rp.oracle, "exp_skew_batch", no_steps)
+        with pytest.raises(TooLarge):
+            flow(np.eye(2), [3.0, 1.0], step=step, t_end=t_end)
+
+    def test_state_count_at_the_bound_accepted(self, flow):
+        # 2^22 states of 2x2 fill the bound exactly; stop at the start
+        traj = flow(np.eye(2), [3.0, 1.0], step=1.0, t_end=2.0**22 - 1, gtol=1.0)
+        assert len(traj.states) == 1
 
     def test_start_state_is_a_copy(self, flow):
         r0 = planar(0.3)
