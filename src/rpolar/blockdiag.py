@@ -23,8 +23,7 @@ import numpy as np
 from .errors import NotLambdaSquare, NotSymmetricSquare
 from .linalg import as_matrix, frob_norm, frob_norm_sq, skew, sym
 
-# Default relative tolerance for symmetric-square membership and block
-# residuals.
+# Relative tolerance for symmetric-square membership and block residuals.
 TOL_BLOCK = 1e-8
 
 # Relative eigenvalue gap below which eigenvalues of S are clustered.
@@ -70,31 +69,31 @@ class BlockDecomposition:
         return frob_norm(self.basis.T @ m @ self.basis - self.block_diagonal())
 
 
-def is_symmetric_square(x, tol: float = TOL_BLOCK) -> bool:
+def is_symmetric_square(x) -> bool:
     """Test whether X^2 is symmetric within a relative tolerance.
 
-    True iff ||skew(X^2)||_F <= tol * (1 + ||X||_F^2).
+    True iff ||skew(X^2)||_F <= TOL_BLOCK * (1 + ||X||_F^2).
     """
     m = as_matrix(x)
-    return frob_norm(skew(m @ m)) <= tol * (1.0 + frob_norm_sq(m))
+    return frob_norm(skew(m @ m)) <= TOL_BLOCK * (1.0 + frob_norm_sq(m))
 
 
-def eigsplit_symmetric(s, gap: float = CLUSTER_GAP) -> list[tuple[float, np.ndarray]]:
+def eigsplit_symmetric(s) -> list[tuple[float, np.ndarray]]:
     """Clustered eigendecomposition of a symmetric matrix.
 
-    Eigenvalues closer than ``gap * max|eigenvalue|`` are merged into one
-    cluster.  Returns (eigenvalue, orthonormal basis) pairs sorted by
-    eigenvalue descending; the bases are mutually orthonormal and together
-    span R^n.
+    Eigenvalues closer than ``CLUSTER_GAP * max|eigenvalue|`` are merged
+    into one cluster.  Returns (eigenvalue, orthonormal basis) pairs sorted
+    by eigenvalue descending; the bases are mutually orthonormal and
+    together span R^n.
     """
-    return _eigsplit(s, gap, 0.0)
+    return _eigsplit(s, 0.0)
 
 
-def _eigsplit(s, gap: float, floor: float) -> list[tuple[float, np.ndarray]]:
+def _eigsplit(s, floor: float) -> list[tuple[float, np.ndarray]]:
     """``eigsplit_symmetric`` merging eigenvalues closer than ``floor`` too."""
     w, v = np.linalg.eigh(sym(s))
     scale = float(np.max(np.abs(w))) if w.size else 0.0
-    tau = max(gap * scale, floor)
+    tau = max(CLUSTER_GAP * scale, floor)
     clusters: list[tuple[float, np.ndarray]] = []
     start = 0
     for i in range(1, len(w) + 1):
@@ -129,7 +128,7 @@ def _planes(m: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     return basis[:, : pairs.shape[1]], basis[:, pairs.shape[1] :]
 
 
-def _pieces(m: np.ndarray, lam: float, tol: float) -> list[tuple[np.ndarray, Block]]:
+def _pieces(m: np.ndarray, lam: float) -> list[tuple[np.ndarray, Block]]:
     """(columns of T, block) pairs for Y with Y^2 = lam * I.
 
     An eigenvector p of G = Y^T Y for s > |lam| is mapped by Y to
@@ -142,7 +141,7 @@ def _pieces(m: np.ndarray, lam: float, tol: float) -> list[tuple[np.ndarray, Blo
     """
     n = m.shape[0]
     norm_m = frob_norm(m)
-    if frob_norm(m @ m - lam * np.eye(n)) > tol * (1.0 + norm_m * norm_m):
+    if frob_norm(m @ m - lam * np.eye(n)) > TOL_BLOCK * (1.0 + norm_m * norm_m):
         raise NotLambdaSquare(f"matrix square is not {lam} * identity")
     planes, rest = _planes(m, lam)
     if planes.size and rest.shape[1] > 1:
@@ -171,7 +170,7 @@ def _pieces(m: np.ndarray, lam: float, tol: float) -> list[tuple[np.ndarray, Blo
     ]
 
 
-def scalar_square_blocks(y, lam: float, tol: float = TOL_BLOCK) -> BlockDecomposition:
+def scalar_square_blocks(y, lam: float) -> BlockDecomposition:
     """Orthogonal block-diagonalization of Y with Y^2 = lam * I.
 
     Each eigenvector p of Y^T Y for an eigenvalue above |lam| spans a 2x2
@@ -179,16 +178,16 @@ def scalar_square_blocks(y, lam: float, tol: float = TOL_BLOCK) -> BlockDecompos
     into 1x1 blocks if Y is symmetric there and into 2x2 blocks if it is
     skew.  Symmetric input therefore yields only 1x1 blocks, and so may a
     2x2 block whose skew part is below about ``CLUSTER_GAP`` times its
-    norm, within ``tol``.  Output blocks are sorted by mu descending,
+    norm, within ``TOL_BLOCK``.  Output blocks are sorted by mu descending,
     larger blocks first, then by leading entry.
 
     Raises
     ------
     NotLambdaSquare
-        If ||Y^2 - lam*I||_F exceeds tol * (1 + ||Y||_F^2).
+        If ||Y^2 - lam*I||_F exceeds TOL_BLOCK * (1 + ||Y||_F^2).
     """
     m = as_matrix(y)
-    return _assemble(_pieces(m, lam, tol), m.shape[0])
+    return _assemble(_pieces(m, lam), m.shape[0])
 
 
 def _assemble(pieces: list[tuple[np.ndarray, Block]], n: int) -> BlockDecomposition:
@@ -204,7 +203,7 @@ def _assemble(pieces: list[tuple[np.ndarray, Block]], n: int) -> BlockDecomposit
     )
 
 
-def block_diagonalize(x, tol: float = TOL_BLOCK) -> BlockDecomposition:
+def block_diagonalize(x) -> BlockDecomposition:
     """Orthogonal block-diagonalization of X with symmetric square.
 
     Splits R^n into the eigenspaces of S = X^2 (which X preserves), runs
@@ -219,19 +218,19 @@ def block_diagonalize(x, tol: float = TOL_BLOCK) -> BlockDecomposition:
     Raises
     ------
     NotSymmetricSquare
-        If ``is_symmetric_square(x, tol)`` fails.
+        If ``is_symmetric_square(x)`` fails.
     NotLambdaSquare
         If an eigenspace restriction of a noisy X that passes the check
-        above squares to no multiple of the identity within ``tol``.
+        above squares to no multiple of the identity within ``TOL_BLOCK``.
     """
     m = as_matrix(x)
-    if not is_symmetric_square(m, tol):
+    if not is_symmetric_square(m):
         raise NotSymmetricSquare("matrix square has a nonzero skew part")
     n = m.shape[0]
     floor = 64 * n * np.finfo(float).eps * frob_norm_sq(m)
     pieces = [
         (basis @ cols, blk)
-        for lam, basis in _eigsplit(m @ m, CLUSTER_GAP, floor)
-        for cols, blk in _pieces(basis.T @ m @ basis, lam, tol)
+        for lam, basis in _eigsplit(m @ m, floor)
+        for cols, blk in _pieces(basis.T @ m @ basis, lam)
     ]
     return _assemble(pieces, n)

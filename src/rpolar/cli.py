@@ -6,9 +6,9 @@ inputs and seeds produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure or other invalid argument,
 2 parse failure, 3 degenerate, reflective or non-finite input, 4 dimension
-over the enumeration or multistart guard, or minimizers or flow states
-over ``MAX_OUTPUT_ENTRIES`` entries, 5 not a symmetric square, 6 infeasible
-label.
+over the enumeration or multistart guard, or minimizers, flow states or
+multistart work arrays over ``MAX_OUTPUT_ENTRIES`` entries, 5 not a
+symmetric square, 6 infeasible label.
 Every error prints one ``error:`` line to stderr.
 """
 
@@ -119,7 +119,7 @@ def format_label(label: PartitionLabel) -> str:
 
 
 def _rotation_rows(r: np.ndarray) -> list[float]:
-    return [float(x) for x in r.reshape(-1)]
+    return r.ravel().tolist()
 
 
 def _write_minimizers(ms: MinimizerSet, n: int) -> None:
@@ -218,6 +218,11 @@ def cmd_blockdiag(args) -> int:
     x = parse_matrix_file(args.input)
     dec = block_diagonalize(x)
     split = [frob_norm_sq(b.entries) for b in dec.blocks]
+    # Summed term by term in this order, so the value does not depend on
+    # the Python version's float summation.
+    total = 0.0
+    for part in split:
+        total += part
     payload = {
         "schema": SCHEMA,
         "kind": "block_decomposition",
@@ -233,7 +238,7 @@ def cmd_blockdiag(args) -> int:
             for b in dec.blocks
         ],
         "frobenius_split": split,
-        "total_norm_sq": float(sum(split)),
+        "total_norm_sq": total,
         "reconstruction_residual": dec.reconstruction_residual(x),
     }
     _emit(payload)

@@ -38,7 +38,7 @@ class TooLarge(RpolarError):
 
 
 class InvalidWeights(RpolarError):
-    """Energy weights are out of range (mu must be > 0, mu_c >= 0)."""
+    """Energy weights are out of range (mu >= 0 and mu_c >= 0)."""
 
 
 class NonClassicalRange(RpolarError):

@@ -29,9 +29,13 @@ TOL_DET = 1e-10
 # Drift beyond which a would-be rotation is rejected instead of re-projected.
 MAX_ROTATION_DRIFT = 1e-8
 
+# Values at or below RANK_TOL times the largest of their kind count as zero.
+RANK_TOL = 1e-12
+
 # Bound on the matrix entries one call may produce: the 2^k n^2 rotation
-# entries `rpolar rpolar` writes (2^24 entries are 100-400 MB of JSON)
-# and the states a gradient flow keeps (128 MiB of doubles).
+# entries `rpolar rpolar` writes (2^24 entries are 100-400 MB of JSON),
+# the states a gradient flow keeps (128 MiB of doubles) and the rotations
+# and p x p Jacobians, p = n(n-1)/2, of a multistart descent's starts.
 MAX_OUTPUT_ENTRIES = 2**24
 
 
@@ -108,17 +112,17 @@ def project_rotation(m) -> np.ndarray:
     return r
 
 
-def as_rotation(m, max_drift: float = MAX_ROTATION_DRIFT) -> np.ndarray:
+def as_rotation(m) -> np.ndarray:
     """Validate a rotation, re-orthonormalizing small drift.
 
-    Drift up to ``max_drift`` (Frobenius) is repaired by polar projection,
-    so rounding is forgiven without masking genuinely wrong inputs;
-    anything beyond is rejected.
+    Drift up to ``MAX_ROTATION_DRIFT`` (Frobenius) is repaired by polar
+    projection, so rounding is forgiven without masking genuinely wrong
+    inputs; anything beyond is rejected.
     """
     a = as_matrix(m)
     defect = orthogonality_defect(a)
-    if defect > max_drift:
-        raise RpolarError(f"orthogonality drift {defect:.3e} exceeds {max_drift:.1e}")
+    if defect > MAX_ROTATION_DRIFT:
+        raise RpolarError(f"orthogonality drift {defect:.3e} exceeds {MAX_ROTATION_DRIFT:.1e}")
     if np.linalg.det(a) <= 0:
         raise NonInvertibleOrReflective("matrix is not orientation preserving")
     if defect > 1e-15:
@@ -145,10 +149,12 @@ class PolarFactors:
     singular_values: np.ndarray = field(repr=False)
 
 
-def _svd_polar(f: np.ndarray, rank_tol: float = 1e-12):
+def _svd_polar(f: np.ndarray):
     """SVD-based polar factors (v, s, wh) with degeneracy checks."""
+    if f.size == 0:
+        raise DimensionMismatch("expected a non-empty matrix")
     v, s, wh = np.linalg.svd(f)
-    if s[0] == 0.0 or s[-1] <= rank_tol * s[0]:
+    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         raise Degenerate("matrix is numerically rank deficient")
     if np.linalg.det(f) <= 0:
         raise NonInvertibleOrReflective("determinant must be positive")
@@ -165,6 +171,8 @@ def polar_decompose(f) -> PolarFactors:
 
     Raises
     ------
+    DimensionMismatch
+        If F is not square or is empty.
     NonInvertibleOrReflective
         If det(F) <= 0.
     Degenerate

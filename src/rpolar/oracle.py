@@ -21,7 +21,8 @@ from .critical import _checked, _diag_values, _energy_batch, _grad_batch
 from .errors import Degenerate, RpolarError, StepTooLarge, TooLarge
 from .linalg import MAX_OUTPUT_ENTRIES, as_matrix, exp_skew_batch, haar_rotations
 
-GTOL_DEFAULT = 1e-9
+GTOL = 1e-9
+MAX_ITER = 2000
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 MAX_BACKTRACKS = 60
@@ -58,8 +59,8 @@ class DescentResult:
 class DescentReport:
     """Best-of-multistart summary; deterministic for a fixed seed.
 
-    ``iterations`` holds the Newton iterations each start took, in start
-    order.
+    ``tolerance`` is ``_gtol`` of D.  ``iterations`` holds the Newton
+    iterations each start took, in start order.
     """
 
     best_value: float
@@ -73,10 +74,13 @@ class DescentReport:
 
 @dataclass(frozen=True, eq=False)
 class FlowTrajectory:
-    """Sampled gradient-flow trajectory with recorded energies."""
+    """Sampled gradient-flow trajectory with recorded energies.
+
+    ``states`` is one (len(times), n, n) array, the rotation at each time.
+    """
 
     times: np.ndarray
-    states: tuple[np.ndarray, ...] = field(repr=False)
+    states: np.ndarray = field(repr=False)
     energies: np.ndarray
     step_size: float
 
@@ -88,6 +92,11 @@ def riemannian_gradient(r, d) -> np.ndarray:
     skew(R^T sym(R D - I) D), so d/dt W(R exp(tB))|_0 = 2 <A, B>.
     """
     return _grad_batch(*_checked(r, d))
+
+
+def _gtol(dv: np.ndarray) -> float:
+    # a gradient of size ||D||^2 is resolved only to about eps * ||D||^2
+    return max(GTOL, 4.0 * np.finfo(float).eps * (1.0 + float(dv @ dv)))
 
 
 def _project_batch(r: np.ndarray) -> np.ndarray:
@@ -206,24 +215,19 @@ def _descend_batch(r0: np.ndarray, dv: np.ndarray, gtol: float, max_iter: int):
     return r, e, converged, iters, gnorm_final
 
 
-def descend(
-    r0,
-    d,
-    gtol: float = GTOL_DEFAULT,
-    max_iter: int = 2000,
-) -> DescentResult:
+def descend(r0, d) -> DescentResult:
     """Safeguarded Riemannian Newton descent from one start.
 
     Steps R <- R cay(tB) with the Cayley retraction and the Newton
     direction B of ``_descend_batch``, shifted to a descent direction
     where the Hessian is not positive definite and backtracked.
-    Terminates when the body-frame gradient norm drops below ``gtol`` or
-    after ``max_iter`` iterations; the last iterate is returned either
-    way, with ``converged`` reporting which case occurred.
+    Terminates when the body-frame gradient norm drops below ``_gtol`` of
+    D or after ``MAX_ITER`` iterations; the last iterate is returned
+    either way, with ``converged`` reporting which case occurred.
     """
     rm = as_matrix(r0)
     dv = _diag_values(d)
-    r, e, conv, iters, gn = _descend_batch(rm[None], dv, gtol, max_iter)
+    r, e, conv, iters, gn = _descend_batch(rm[None], dv, _gtol(dv), MAX_ITER)
     return DescentResult(
         rotation=r[0],
         value=float(e[0]),
@@ -233,17 +237,18 @@ def descend(
     )
 
 
-def brute_force_min(
-    d,
-    n_starts: int = 200,
-    seed: int = 0,
-    gtol: float = 1e-8,
-    max_iter: int = 2000,
-) -> DescentReport:
+def brute_force_min(d, n_starts: int = 200, seed: int = 0) -> DescentReport:
     """Best value over multistart descent from Haar-random rotations.
 
     Deterministic for a fixed seed; the merge is a min-reduction with ties
     broken by start index, so it does not depend on evaluation order.
+
+    Raises
+    ------
+    TooLarge
+        If n > 8, or if the starts' rotations and Jacobians, n_starts *
+        (n^2 + p^2) entries with p = n(n-1)/2, exceed
+        ``MAX_OUTPUT_ENTRIES``; checked before any start is drawn.
     """
     dv = _diag_values(d)
     n = dv.size
@@ -251,8 +256,14 @@ def brute_force_min(
         raise TooLarge(f"n = {n} exceeds the multistart guard n <= 8")
     if n == 0 or n_starts < 1:
         raise RpolarError("need at least one diagonal value and one start")
+    p = n * (n - 1) // 2
+    if n_starts * (n * n + p * p) > MAX_OUTPUT_ENTRIES:
+        raise TooLarge(
+            f"{n_starts} starts at n = {n} need more than {MAX_OUTPUT_ENTRIES} work entries"
+        )
+    gtol = _gtol(dv)
     r0 = haar_rotations(n, n_starts, seed)
-    r, e, conv, iters, _ = _descend_batch(r0, dv, gtol, max_iter)
+    r, e, conv, iters, _ = _descend_batch(r0, dv, gtol, MAX_ITER)
     best = int(np.argmin(e))
     return DescentReport(
         best_value=float(e[best]),
@@ -277,27 +288,30 @@ def _integrate(r0, dv, rhs, energy_fn, step, t_end, gtol):
         raise TooLarge(
             f"{n_steps + 1} states of {dv.size}x{dv.size} exceed {MAX_OUTPUT_ENTRIES} entries"
         )
-    states = [r.copy()]
-    energies = [energy_fn(r)]
+    states = np.empty((n_steps + 1, dv.size, dv.size))
+    energies = np.empty(n_steps + 1)
+    states[0] = r
+    energies[0] = energy_fn(r)
     if not np.isfinite(energies[0]):
         raise Degenerate("flow energy is not finite at the start")
-    for k in range(n_steps):
-        a = rhs(r)
+    k = 0
+    while k < n_steps:
+        a = rhs(states[k])
         if gtol is not None and np.linalg.norm(a) <= gtol:
             break
-        r = r @ exp_skew_batch(step * a)
-        e = energy_fn(r)
-        if e > energies[-1] + 1e-9:
+        np.matmul(states[k], exp_skew_batch(step * a), out=states[k + 1])
+        e = energy_fn(states[k + 1])
+        if e > energies[k] + 1e-9:
             raise StepTooLarge(
-                f"energy increased by {e - energies[-1]:.3e} at t = "
+                f"energy increased by {e - energies[k]:.3e} at t = "
                 f"{(k + 1) * step:g}; halve the step size"
             )
-        states.append(r)
-        energies.append(e)
+        energies[k + 1] = e
+        k += 1
     return FlowTrajectory(
-        times=step * np.arange(len(states)),
-        states=tuple(states),
-        energies=np.array(energies),
+        times=step * np.arange(k + 1),
+        states=states[: k + 1],
+        energies=energies[: k + 1],
         step_size=step,
     )
 

@@ -42,7 +42,7 @@ from .critical import (
     critical_value,
 )
 from .errors import DegenerateD, NonClassicalRange, TiesNotStrictWarning
-from .linalg import _svd_polar, as_matrix, polar_decompose
+from .linalg import RANK_TOL, _svd_polar, as_matrix, polar_decompose
 
 # Iteration builds the minimizers in chunks of about this many bytes, one
 # batched call per chunk, so its memory does not grow with 2^k.
@@ -457,11 +457,11 @@ class ReflectionInfo:
         return np.diag(self.signs)
 
 
-def reflect_negative(d_signed, tol: float = 1e-12) -> ReflectionInfo:
+def reflect_negative(d_signed) -> ReflectionInfo:
     """Reduce signed diagonal parameters to positive ones via a reflection.
 
     Requires d_i != 0 and d_i + d_j != 0 for all i, j (no additive
-    cancellation), checked within a small relative tolerance.
+    cancellation), checked within ``RANK_TOL`` relative to max|d_i|.
 
     Raises
     ------
@@ -474,11 +474,11 @@ def reflect_negative(d_signed, tol: float = 1e-12) -> ReflectionInfo:
     if not np.all(np.isfinite(dv)):
         raise DegenerateD("diagonal values must be finite")
     scale = float(np.max(np.abs(dv)))
-    if scale == 0.0 or np.any(np.abs(dv) <= tol * scale):
+    if scale == 0.0 or np.any(np.abs(dv) <= RANK_TOL * scale):
         raise DegenerateD("diagonal entries must be nonzero")
     sums = dv[:, None] + dv[None, :]
     np.fill_diagonal(sums, 1.0)  # d_i + d_i = 2 d_i != 0 already checked
-    if np.any(np.abs(sums) <= tol * scale):
+    if np.any(np.abs(sums) <= RANK_TOL * scale):
         raise DegenerateD("diagonal entries must not cancel additively")
     signs = np.where(dv > 0, 1.0, -1.0)
     det_sign = int(np.prod(signs))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -211,6 +212,21 @@ class TestBlockdiagCmd:
         assert data["blocks"][0]["norm_sq"] == pytest.approx(1.0, abs=1e-12)
         assert data["reconstruction_residual"] <= 1e-12
 
+    def test_total_norm_sq_summed_left_to_right(self, capsys, tmp_path):
+        # the split of this input rounds differently under compensated
+        # summation, so the total must not come from the Python version's sum()
+        g = np.random.default_rng(2).standard_normal((6, 6))
+        path = tmp_path / "s.txt"
+        path.write_text("\n".join(" ".join(map(repr, row)) for row in (g + g.T).tolist()))
+        code, out, _ = run(capsys, "blockdiag", str(path))
+        assert code == EXIT_OK
+        data = json.loads(out)
+        total = 0.0
+        for part in data["frobenius_split"]:
+            total += part
+        assert math.fsum(data["frobenius_split"]) != total
+        assert data["total_norm_sq"] == total
+
     def test_not_symmetric_square(self, capsys, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("1 1\n0 2\n")
@@ -323,6 +339,8 @@ class TestErrorContract:
             # 5e13 steps at the default step: refused before the first one
             (("flow", "3,1", "--t-end", "1e12"), EXIT_TOO_LARGE),
             (("flow", "3,1", "--perturb", "inf"), EXIT_DEGENERATE),
+            # 1e11 starts would need terabytes: refused before any is drawn
+            (("verify", "3,2,1", "--starts", "100000000000"), EXIT_TOO_LARGE),
         ],
     )
     @pytest.mark.filterwarnings("error")

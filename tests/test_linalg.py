@@ -121,6 +121,10 @@ class TestPolar:
         with pytest.raises(Degenerate):
             rp.polar_decompose(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            rp.polar_decompose(np.zeros((0, 0)))
+
 
 class TestExpSkew:
     def test_zero(self):

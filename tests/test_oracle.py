@@ -139,6 +139,18 @@ class TestConvergence:
         assert report.n_converged == 100
         assert report.best_value == pytest.approx(rp.rpolar_diag(d).reduced_energy, rel=1e-12)
 
+    # ||D||^2 from 1.8e8 to 1e10: the gradient tolerance scales with it
+    @pytest.mark.parametrize("d", [[1e4, 9e3, 2.0, 0.5], [3e4, 1.0, 0.5], [1e5, 1.0, 0.5]])
+    def test_huge_d_converges(self, d):
+        report = rp.brute_force_min(d, n_starts=100, seed=0)
+        assert report.n_converged == 100
+        assert report.tolerance == 4 * np.finfo(float).eps * (1 + np.dot(d, d))
+        assert report.best_value == pytest.approx(rp.rpolar_diag(d).reduced_energy, rel=1e-12)
+
+    def test_tolerance_absolute_at_unit_scale(self):
+        report = rp.brute_force_min([3.0, 2.0, 0.5], n_starts=10, seed=0)
+        assert report.tolerance == rp.oracle.GTOL
+
     def test_energy_blind_direction(self):
         # with d_2 = d_3 = 0 the energy ignores rotations in the (2, 3)
         # plane, so J has a zero row and column there
@@ -222,6 +234,19 @@ class TestBruteForce:
     def test_nothing_to_search_rejected(self, d, n_starts):
         with pytest.raises(RpolarError):
             rp.brute_force_min(d, n_starts=n_starts)
+
+    def test_start_count_bounded_before_drawing(self, monkeypatch):
+        # at n = 3 each start holds 9 rotation and 9 Jacobian entries
+        def no_draw(n, count, rng):
+            raise AssertionError("drew starts")
+
+        monkeypatch.setattr(rp.oracle, "haar_rotations", no_draw)
+        with pytest.raises(TooLarge):
+            rp.brute_force_min([3.0, 2.0, 1.0], n_starts=10**11)
+        with pytest.raises(TooLarge):
+            rp.brute_force_min([3.0, 2.0, 1.0], n_starts=2**24 // 18 + 1)
+        with pytest.raises(AssertionError, match="drew starts"):
+            rp.brute_force_min([3.0, 2.0, 1.0], n_starts=2**24 // 18)
 
 
 class TestIntegrateFlow:
@@ -325,6 +350,12 @@ class TestFlowValidation:
         # 2^22 states of 2x2 fill the bound exactly; stop at the start
         traj = flow(np.eye(2), [3.0, 1.0], step=1.0, t_end=2.0**22 - 1, gtol=1.0)
         assert len(traj.states) == 1
+
+    def test_states_are_one_array(self, flow):
+        traj = flow(planar(0.3), [3.0, 1.0], step=0.1, t_end=1.0)
+        assert isinstance(traj.states, np.ndarray)
+        assert traj.states.shape == (len(traj.times), 2, 2)
+        assert traj.energies.shape == traj.times.shape
 
     def test_start_state_is_a_copy(self, flow):
         r0 = planar(0.3)

@@ -7,6 +7,7 @@ import rpolar as rp
 from rpolar.critical import BOUNDARY_TOL, PartitionLabel, SubsetLabel, _pair_signs
 from rpolar.errors import (
     DegenerateD,
+    DimensionMismatch,
     InfeasibleLabel,
     NonClassicalRange,
     NonInvertibleOrReflective,
@@ -217,6 +218,10 @@ class TestRpolarFull:
     def test_reflective_rejected(self):
         with pytest.raises(NonInvertibleOrReflective):
             rp.rpolar_full(np.diag([2.0, -1.0]))
+
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            rp.rpolar_full(np.zeros((0, 0)))
 
 
 class TestRpolarClassical:
