@@ -19,10 +19,12 @@ from .blockdiag import (
 )
 from .critical import (
     CriticalPoint,
+    CriticalTable,
     DiagParams,
     PartitionLabel,
     SubsetLabel,
     as_diag,
+    critical_table,
     critical_value,
     energy,
     energy_weighted,

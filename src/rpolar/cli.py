@@ -15,7 +15,9 @@ Every error prints one ``error:`` line to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import re
 import sys
 
@@ -25,11 +27,13 @@ from . import __version__
 from .blockdiag import block_diagonalize
 from .critical import (
     DEFAULT_MAX_N,
+    CriticalTable,
     PartitionLabel,
     SubsetLabel,
     as_diag,
+    critical_table,
     critical_value,
-    enumerate_critical,
+    enumerate_critical,  # not called here; perfbench traces it as cli.enumerate_critical
     realize,
 )
 from .errors import (
@@ -111,11 +115,12 @@ def parse_label(text: str) -> PartitionLabel:
     return PartitionLabel(subsets=tuple(subs))
 
 
+def _subset_text(indices, det_sign: int) -> str:
+    return "{%s}%s" % (",".join(str(i) for i in indices), "+" if det_sign == 1 else "-")
+
+
 def format_label(label: PartitionLabel) -> str:
-    return ",".join(
-        "{%s}%s" % (",".join(str(i) for i in s.indices), "+" if s.det_sign == 1 else "-")
-        for s in label.subsets
-    )
+    return ",".join(_subset_text(s.indices, s.det_sign) for s in label.subsets)
 
 
 def _rotation_rows(r: np.ndarray) -> list[float]:
@@ -142,6 +147,65 @@ def _write_minimizers(ms: MinimizerSet, n: int) -> None:
     for i, r in enumerate(ms.rotations):
         out.write((", " if i else "") + json.dumps(_rotation_rows(r)))
     out.write('], "flags": ' + json.dumps(list(ms.flags)) + "}\n")
+
+
+def _float_text(x: float) -> str:
+    """``json.dumps(x)``: json writes finite floats with ``float.__repr__``."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _listing_order(table: CriticalTable) -> np.ndarray:
+    """Row order of the listing: value, then label string.
+
+    No subset text is a prefix of another, and two labels that agree on
+    their first subsets cover the same indices, so label strings compare
+    as their sequences of subset texts.  That needs one text per subset
+    code, not one string per label.
+    """
+    texts = [_subset_text(*sub) for sub in table.subsets] + [""]  # "" pads
+    rank = np.argsort(np.argsort(texts)).astype(table.codes.dtype)
+    columns = [rank[column] for column in table.codes.T[::-1]]
+    return np.lexsort(columns + [table.values])
+
+
+def _write_critical_points(table: CriticalTable) -> None:
+    """Write every critical point as one JSON line, in listing order.
+
+    Rows follow ``_listing_order``, and the points of a row go in angle
+    order (first pair slowest, +1 first).  The bytes are those of
+    ``json.dumps`` of each point's payload, but each subset's JSON and
+    rotation entries are formatted once per angle sign.  Points are
+    written as they are made, never held.
+    """
+    n = table.params.n
+    # per subset code and angle sign: its label JSON and its written entries
+    options = {}
+    used = np.bincount(table.codes.ravel(), minlength=len(table.subsets) + 1)
+    for code in np.flatnonzero(used[: len(table.subsets)]).tolist():
+        indices, det = table.subsets[code]
+        block = [(a - 1) * n + b - 1 for a in indices for b in indices]
+        rotations = table.subset_rotations(code).reshape(-1, n * n)[:, block]
+        options[code] = [
+            (
+                json.dumps(SubsetLabel(indices, det, angle).to_dict()),
+                list(zip(block, map(_float_text, r.tolist()))),
+            )
+            for angle, r in zip((1, -1), rotations)
+        ]
+    values = table.values.tolist()
+    sizes = table.sizes.tolist()
+    head = json.dumps({"schema": SCHEMA, "kind": "critical_point"})[:-1] + ', "label": {"subsets": ['
+    out = sys.stdout
+    for k in _listing_order(table).tolist():
+        middle = ']}, "value": ' + _float_text(values[k]) + ', "rotation": ['
+        entries = [_float_text(0.0)] * (n * n)  # the writer's zeros outside the blocks
+        row = table.codes[k, : sizes[k]].tolist()
+        for choice in itertools.product(*(options[c] for c in row)):
+            for _, written in choice:
+                for i, text in written:
+                    entries[i] = text
+            subsets = ", ".join([subset for subset, _ in choice])
+            out.write(head + subsets + middle + ", ".join(entries) + "]}\n")
 
 
 def _emit(payload) -> None:
@@ -199,18 +263,7 @@ def cmd_critical(args) -> int:
             payload["reason"] = str(exc)
         _emit(payload)
         return EXIT_OK
-    points = list(enumerate_critical(params, max_n=args.max_n))
-    points.sort(key=lambda p: (p.value, format_label(p.label)))
-    for p in points:
-        _emit(
-            {
-                "schema": SCHEMA,
-                "kind": "critical_point",
-                "label": p.label.to_dict(),
-                "value": p.value,
-                "rotation": _rotation_rows(p.rotation),
-            }
-        )
+    _write_critical_points(critical_table(params, max_n=args.max_n))
     return EXIT_OK
 
 

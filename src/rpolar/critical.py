@@ -13,6 +13,7 @@ overall parity prod(det) = +1 that keeps R in SO(n).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -271,14 +272,28 @@ def is_critical(r, d, tol: float = CRITICAL_TOL) -> bool:
 # -- critical values ---------------------------------------------------------
 
 
-def _subset_values(sub: SubsetLabel, dv: np.ndarray) -> float:
-    if sub.size == 1:
-        di = dv[sub.indices[0] - 1]
-        return (di - 1.0) ** 2 if sub.det_sign == 1 else (di + 1.0) ** 2
-    di, dj = (dv[i - 1] for i in sub.indices)
-    if sub.det_sign == 1:
+def _subset_value(indices, det: int, dv) -> float:
+    """Critical value of one subset, given by its 1-based indices and det sign."""
+    if len(indices) == 1:
+        di = dv[indices[0] - 1]
+        return (di - 1.0) ** 2 if det == 1 else (di + 1.0) ** 2
+    di, dj = (dv[i - 1] for i in indices)
+    if det == 1:
         return 0.5 * (di - dj) ** 2
     return 0.5 * (di + dj) ** 2
+
+
+def _label_value(subsets, dv) -> float:
+    """Sum of the values of (indices, det) subsets, added left to right.
+
+    An explicit loop rather than ``sum()``, so that the value does not
+    depend on the Python version's float summation; ``critical_table``
+    adds its columns in the same order.
+    """
+    total = 0.0
+    for indices, det in subsets:
+        total += _subset_value(indices, det, dv)
+    return float(total)
 
 
 def _check_structure(label: PartitionLabel, n: int) -> None:
@@ -286,13 +301,19 @@ def _check_structure(label: PartitionLabel, n: int) -> None:
         raise InfeasibleLabel(f"label covers {label.n} indices, parameters have {n}")
 
 
-def _pair_signs(di: float, dj: float) -> tuple[int, ...]:
+def _pair_signs(di, dj):
     """Det signs for which the pair {i, j} admits a 2x2 block.
 
     det +1 needs d_i + d_j > 2 and det -1 needs |d_i - d_j| > 2, each by
     more than ``BOUNDARY_TOL``.  For positive entries the sum dominates the
     difference, so the result is (), (1,) or (1, -1).
+
+    For arrays of entries the result is instead a boolean array of shape
+    (..., 2): whether det +1 (column 0) and det -1 (column 1) admit a block.
     """
+    if type(di) is np.ndarray:  # cheaper than isinstance on the scalar path
+        plus = di + dj > 2.0 + BOUNDARY_TOL
+        return np.stack([plus, plus & (np.abs(di - dj) > 2.0 + BOUNDARY_TOL)], axis=-1)
     if not di + dj > 2.0 + BOUNDARY_TOL:
         return ()
     if not abs(di - dj) > 2.0 + BOUNDARY_TOL:
@@ -305,10 +326,11 @@ def critical_value(label: PartitionLabel, d) -> float:
 
     Sum of (d_i - 1)^2 over positive singletons, (d_i + 1)^2 over negative
     singletons, (d_i - d_j)^2 / 2 over positive pairs and
-    (d_i + d_j)^2 / 2 over negative pairs.  The formula is evaluated for
-    any label whose pairs admit a block for some sign choice, that is
-    d_i + d_j > 2 + ``BOUNDARY_TOL``; use ``realize`` to additionally
-    enforce the per-sign inequalities and the SO(n) parity.
+    (d_i + d_j)^2 / 2 over negative pairs, added left to right in label
+    order.  The formula is evaluated for any label whose pairs admit a
+    block for some sign choice, that is d_i + d_j > 2 + ``BOUNDARY_TOL``;
+    use ``realize`` to additionally enforce the per-sign inequalities and
+    the SO(n) parity.
     """
     params = as_diag(d)
     _check_structure(label, params.n)
@@ -319,7 +341,7 @@ def critical_value(label: PartitionLabel, d) -> float:
                 f"pair {sub.indices}: d_i + d_j = {di + dj:.12g} is not above "
                 f"2 + {BOUNDARY_TOL:g}, no 2x2 block exists"
             )
-    return float(sum(_subset_values(s, params.d) for s in label.subsets))
+    return _label_value(((s.indices, s.det_sign) for s in label.subsets), params.d)
 
 
 # -- realization -------------------------------------------------------------
@@ -371,25 +393,37 @@ def _angle_variants(base, off, values, bits) -> np.ndarray:
     return out
 
 
-def _points(label: PartitionLabel, dv: np.ndarray) -> list[CriticalPoint]:
-    """The 2^m critical points of a checked label, ignoring its angle signs."""
+def _rotations(subsets, dv: np.ndarray) -> np.ndarray:
+    """The 2^m critical rotations of checked (indices, det) subsets.
+
+    Variant v gives pair p the angle sign -1 where bit m-1-p of v is set,
+    so the first pair varies slowest and each pair takes +1 first.
+    """
     base = np.zeros((dv.size, dv.size))
-    options, pairs = [], []
-    for sub in label.subsets:
-        i, j = sub.indices[0] - 1, sub.indices[-1] - 1
-        if sub.size == 1:
-            base[i, i] = sub.det_sign
+    pairs = []
+    for indices, det in subsets:
+        i, j = indices[0] - 1, indices[-1] - 1
+        if i == j:
+            base[i, i] = det
         else:
-            _write_pair(base, i, j, dv[i], dv[j], sub.det_sign)
+            _write_pair(base, i, j, dv[i], dv[j], det)
             pairs.append((i, j))
-        # angle signs: +1 for a singleton, +1 then -1 for a pair
-        angles = (1, -1)[: sub.size]
-        options.append(tuple(SubsetLabel(sub.indices, sub.det_sign, a) for a in angles))
     i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     off = (np.concatenate([i, j]), np.concatenate([j, i]))
     bits = _sign_bits(np.arange(2 ** len(pairs), dtype=np.int64), len(pairs))
-    rotations = _angle_variants(base, off, base[off], bits)
-    value = float(sum(_subset_values(s, dv) for s in label.subsets))
+    return _angle_variants(base, off, base[off], bits)
+
+
+def _points(label: PartitionLabel, dv: np.ndarray) -> list[CriticalPoint]:
+    """The 2^m critical points of a checked label, ignoring its angle signs."""
+    subsets = [(s.indices, s.det_sign) for s in label.subsets]
+    rotations = _rotations(subsets, dv)
+    value = _label_value(subsets, dv)
+    # angle signs: +1 for a singleton, +1 then -1 for a pair
+    options = [
+        tuple(SubsetLabel(indices, det, a) for a in (1, -1)[: len(indices)])
+        for indices, det in subsets
+    ]
     return [
         CriticalPoint(label=PartitionLabel(subsets=subs), rotation=r, value=value)
         for subs, r in zip(itertools.product(*options), rotations)
@@ -432,39 +466,150 @@ def _partitions(indices: tuple[int, ...]):
             yield ((first, other),) + tail
 
 
-def enumerate_critical(d, max_n: int = DEFAULT_MAX_N):
-    """Yield every critical point of W(.; D), without duplicates.
+@functools.lru_cache(maxsize=None)
+def _label_rows(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Every label of SO(n) as integer rows, feasible or not: (subsets, codes, sizes).
 
-    Iterates over partitions into subsets of size one or two, all feasible
-    determinant signs with overall parity +1, and both angle signs per
-    pair.  Deterministic order.  The count grows super-exponentially, so
-    dimensions above ``max_n`` are rejected.
+    ``subsets`` lists (1-based indices, det sign) per subset code: codes
+    2s and 2s + 1 are subset s with det +1 and det -1, the singletons
+    {1}, ..., {n} first, then the pairs in lexicographic order.  Row k of
+    ``codes`` holds the ``sizes[k]`` subset codes of one label in label
+    order, padded with ``len(subsets)``.  Rows follow ``_partitions``,
+    then the det signs in ``itertools.product`` order over (1, -1) per
+    subset, keeping those whose product is +1.  Cached read-only per n.
+    """
+    index_sets = [(i,) for i in range(1, n + 1)]
+    index_sets += itertools.combinations(range(1, n + 1), 2)
+    subsets = tuple((indices, det) for indices in index_sets for det in (1, -1))
+    sid = {indices: s for s, indices in enumerate(index_sets)}
+    partitions = list(_partitions(tuple(range(1, n + 1))))
+    sizes = np.array([len(p) for p in partitions])
+    # the smallest integer type that holds every code, n(n + 1) for padding
+    sids = np.full((len(partitions), n), len(index_sets), np.min_scalar_type(-n * (n + 1)))
+    for k, partition in enumerate(partitions):
+        sids[k, : len(partition)] = [sid[sub] for sub in partition]
+    # A partition into s subsets has 2^(s-1) sign patterns with an even
+    # number of -1; in product order the r-th is 2r + parity(r), whose bit
+    # s-1-p is 1 where subset p has det -1.
+    counts = 2 ** (sizes - 1)
+    row_part = np.repeat(np.arange(len(partitions)), counts)
+    r = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    parity = np.zeros_like(r)
+    for b in range(n):
+        parity ^= (r >> b) & 1
+    pattern = 2 * r + parity
+    row_sizes = sizes[row_part]
+    codes = 2 * sids[row_part]
+    for p in range(n):
+        shift = row_sizes - 1 - p
+        codes[:, p] += np.where(shift >= 0, (pattern >> np.maximum(shift, 0)) & 1, 0)
+    codes.setflags(write=False)
+    row_sizes.setflags(write=False)
+    return subsets, codes, row_sizes
+
+
+@dataclass(frozen=True, eq=False)
+class CriticalTable:
+    """Every critical label of W(.; D) as integer rows, in enumeration order.
+
+    Row k is one label: ``codes[k, :sizes[k]]`` are its subsets in label
+    order, as indices into ``subsets`` (1-based indices, det sign), and
+    ``values[k]`` is its critical value.  A label with m pairs has 2^m
+    critical points, one per choice of angle signs.
+    """
+
+    params: DiagParams
+    subsets: tuple
+    codes: np.ndarray
+    sizes: np.ndarray
+    values: np.ndarray
+
+    def rows(self):
+        """Each label's subset codes as a list, in row order."""
+        for row, size in zip(self.codes.tolist(), self.sizes.tolist()):
+            yield row[:size]
+
+    def label(self, row) -> PartitionLabel:
+        """The label of a row of subset codes, with angle signs +1."""
+        return PartitionLabel(subsets=tuple(SubsetLabel(*self.subsets[c]) for c in row))
+
+    def subset_rotations(self, code: int) -> np.ndarray:
+        """One subset's blocks of the critical rotations, angle sign +1 first.
+
+        An array (1 or 2, n, n), zero outside the subset's rows and
+        columns: a label's rotation is the sum of its subsets' blocks for
+        the chosen angle signs.
+        """
+        return _rotations([self.subsets[code]], self.params.d)
+
+
+def _enumerable(d, max_n: int) -> DiagParams:
+    """Parameters of an enumeration: rejects n > max_n, warns on ties.
+
+    The warning names the line that called the caller of this function.
+    """
+    params = as_diag(d)
+    if params.n > max_n:
+        raise TooLarge(f"n = {params.n} exceeds max_n = {max_n}")
+    if not params.strict:
+        warnings.warn(
+            "tied diagonal entries: degenerate det = -1 families on tied "
+            "pairs are not enumerated",
+            NonIsolatedWarning,
+            stacklevel=3,
+        )
+    return params
+
+
+def _table(params: DiagParams) -> CriticalTable:
+    subsets, codes, sizes = _label_rows(params.n)
+    dv = params.d
+    ends = np.array([(indices[0], indices[-1]) for indices, _ in subsets[::2]]) - 1
+    admits = _pair_signs(dv[ends[:, 0]], dv[ends[:, 1]])
+    admits[ends[:, 0] == ends[:, 1]] = True
+    # code 2s + neg is admitted where subset s admits that det sign; the
+    # padding code is always admitted and adds 0.0
+    keep = np.append(admits.ravel(), True)[codes].all(axis=1)
+    codes = codes[keep]
+    terms = np.array([_subset_value(indices, det, dv) for indices, det in subsets] + [0.0])
+    values = terms[codes[:, 0]]
+    for column in codes.T[1:]:
+        values += terms[column]
+    return CriticalTable(params, subsets, codes, sizes[keep], values)
+
+
+def critical_table(d, max_n: int = DEFAULT_MAX_N) -> CriticalTable:
+    """Every critical label of W(.; D) and its value, as arrays.
+
+    The rows are the labels of ``enumerate_critical`` in its order, and
+    each value equals ``critical_value`` of its label bitwise.  No rotation
+    is realized; ``CriticalTable.subset_rotations`` gives the blocks.
 
     Raises
     ------
     TooLarge
         If n exceeds ``max_n``.
     """
-    params = as_diag(d)
-    n = params.n
-    if n > max_n:
-        raise TooLarge(f"n = {n} exceeds max_n = {max_n}")
-    if not params.strict:
-        warnings.warn(
-            "tied diagonal entries: degenerate det = -1 families on tied "
-            "pairs are not enumerated",
-            NonIsolatedWarning,
-            stacklevel=2,
-        )
-    for partition in _partitions(tuple(range(1, n + 1))):
-        options = [
-            (1, -1) if len(sub) == 1 else _pair_signs(*(params.d[i - 1] for i in sub))
-            for sub in partition
-        ]
-        if any(not opt for opt in options):
-            continue
-        for combo in itertools.product(*options):
-            if int(np.prod(combo)) != 1:
-                continue
-            subsets = tuple(SubsetLabel(sub, sgn) for sub, sgn in zip(partition, combo))
-            yield from _points(PartitionLabel(subsets=subsets), params.d)
+    return _table(_enumerable(d, max_n))
+
+
+def enumerate_critical(d, max_n: int = DEFAULT_MAX_N):
+    """Yield every critical point of W(.; D), without duplicates.
+
+    Iterates over the rows of ``critical_table``: partitions into subsets
+    of size one or two in a fixed order, then all feasible determinant
+    signs with overall parity +1 (first subset slowest, +1 before -1),
+    then both angle signs per pair (first pair slowest, +1 first).  The
+    ``critical`` CLI streams the same points sorted by value, then by
+    label string, then in this angle order.  The count grows
+    super-exponentially, so dimensions above ``max_n`` are rejected.
+
+    Raises
+    ------
+    TooLarge
+        If n exceeds ``max_n``.
+    """
+    params = _enumerable(d, max_n)
+    table = _table(params)
+    for row in table.rows():
+        yield from _points(table.label(row), params.d)

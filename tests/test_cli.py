@@ -1,10 +1,13 @@
+import contextlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rpolar as rp
+from rpolar import critical
 
 from rpolar.cli import (
     EXIT_DEGENERATE,
@@ -20,6 +23,7 @@ from rpolar.cli import (
     parse_matrix_file,
 )
 from rpolar.critical import PartitionLabel
+from rpolar.errors import NonIsolatedWarning
 
 
 def run(capsys, *argv):
@@ -181,6 +185,75 @@ class TestCriticalCmd:
         values = ",".join(str(v) for v in np.linspace(3.0, 1.0, 11))
         code, _, _ = run(capsys, "critical", values)
         assert code == EXIT_TOO_LARGE
+
+
+def reference_listing(d) -> str:
+    """`rpolar critical` output written from objects: every point of
+    ``enumerate_critical``, stably sorted by (value, label string), one
+    ``json.dumps`` per payload."""
+    points = list(rp.enumerate_critical(d))
+    points.sort(key=lambda p: (p.value, format_label(p.label)))
+    return "".join(
+        json.dumps(
+            {
+                "schema": "rpolar/1",
+                "kind": "critical_point",
+                "label": p.label.to_dict(),
+                "value": p.value,
+                "rotation": p.rotation.ravel().tolist(),
+            }
+        )
+        + "\n"
+        for p in points
+    )
+
+
+class TestCriticalListingBytes:
+    def check(self, capsys, d):
+        code, out, _ = run(capsys, "critical", ",".join(map(repr, d)))
+        assert code == EXIT_OK
+        assert out == reference_listing(np.array(d))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_random_strict(self, capsys, n):
+        self.check(capsys, np.random.default_rng(n).uniform(0.1, 5.0, n).tolist())
+
+    def test_unsorted(self, capsys):
+        self.check(capsys, [0.7, 4.5, 1.6, 1.8, 0.2, 3.1])
+
+    def test_det_minus_one_pairs(self, capsys):
+        self.check(capsys, [4.5, 1.8, 1.6, 0.7, 4.3])
+
+    def test_tied(self, capsys):
+        # equal values order by label string, here with two-digit indices
+        with pytest.warns(NonIsolatedWarning):
+            self.check(capsys, [4.5] + [0.5] * 9)
+
+
+class TestCriticalListingMemory:
+    class Sink:
+        def __init__(self):
+            self.lines = self.chars = 0
+
+        def write(self, text):
+            self.lines += text.count("\n")
+            self.chars += len(text)
+            return len(text)
+
+    def test_streams(self):
+        # 14 848 points and 10 MB of JSON: the listing streams them, never holds them
+        sink = self.Sink()
+        critical._label_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["critical", ",".join(str(10 + 7 * i) for i in range(7))])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert sink.lines == 14848 and sink.chars > 10**7
+        assert peak < 4 * 2**20
 
 
 class TestBlockdiagCmd:

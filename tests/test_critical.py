@@ -1,8 +1,19 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rpolar as rp
-from rpolar.critical import DiagParams, PartitionLabel, SubsetLabel
+from rpolar.critical import (
+    BOUNDARY_TOL,
+    DiagParams,
+    PartitionLabel,
+    SubsetLabel,
+    _pair_signs,
+)
 from rpolar.errors import (
     DegenerateD,
     DimensionMismatch,
@@ -11,7 +22,7 @@ from rpolar.errors import (
     NonIsolatedWarning,
     TooLarge,
 )
-from util import random_realizable_label
+from util import random_realizable_label, reference_labels
 
 RNG = np.random.default_rng(314159)
 
@@ -192,6 +203,53 @@ class TestCriticalValue:
             split = rp.critical_value(PartitionLabel.singletons(2), d)
             assert merged - split == pytest.approx(-0.5 * (di + dj - 2.0) ** 2, abs=1e-12)
 
+    def test_values_added_left_to_right(self):
+        # compensated summation (sum() of floats on Python 3.12+, or
+        # math.fsum) rounds some of these sums differently, so the value
+        # must be the left-to-right sum of the subset terms
+        rng = np.random.default_rng(2718)
+        rounds_differently = 0
+        for _ in range(300):
+            d = rng.uniform(0.1, 5.0, rng.integers(3, 10))
+            label = random_realizable_label(rng, d)
+            terms = []
+            for s in label.subsets:
+                di, dj = d[s.indices[0] - 1], d[s.indices[-1] - 1]
+                if s.size == 1:
+                    terms.append((di - 1.0) ** 2 if s.det_sign == 1 else (di + 1.0) ** 2)
+                else:
+                    terms.append(0.5 * (di - dj) ** 2 if s.det_sign == 1 else 0.5 * (di + dj) ** 2)
+            total = 0.0
+            for t in terms:
+                total += t
+            rounds_differently += math.fsum(terms) != total
+            assert rp.critical_value(label, d) == total
+            assert all(p.value == total for p in rp.realize(label, d))
+        assert rounds_differently > 0
+
+
+class TestPairSigns:
+    MARGIN = st.floats(-1e-8, 1e-8) | st.sampled_from(
+        [0.0, BOUNDARY_TOL, -BOUNDARY_TOL, 0.5 * BOUNDARY_TOL, 2 * BOUNDARY_TOL]
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.01, 1.99), MARGIN, st.booleans()), min_size=1, max_size=8
+        )
+    )
+    @example([(1.0, BOUNDARY_TOL, True), (0.5, BOUNDARY_TOL, False)])
+    def test_arrays_match_scalars(self, pairs):
+        # each pair's sum (True) or difference (False) is 2 + margin
+        di = np.array([2.0 + m - x if on_sum else x + 2.0 + m for x, m, on_sum in pairs])
+        dj = np.array([x for x, _, _ in pairs])
+        admits = _pair_signs(di, dj)
+        assert admits.shape == (len(pairs), 2)
+        for k in range(len(pairs)):
+            signs = tuple(s for s, ok in zip((1, -1), admits[k]) if ok)
+            assert signs == _pair_signs(di[k], dj[k]) == _pair_signs(float(di[k]), float(dj[k]))
+
 
 class TestRealize:
     def test_rhat_two_rotations(self):
@@ -315,6 +373,49 @@ class TestEnumerate:
             ]
             assert matches, f"label {label} missing from enumeration"
             assert matches[0].value == pytest.approx(value, rel=1e-12)
+
+
+class TestCriticalTable:
+    CASES = [RNG.uniform(0.1, 5.0, n) for n in range(1, 8) for _ in range(2)] + [
+        np.array([4.5, 1.8, 1.6, 0.7]),  # det -1 pairs
+        np.array([0.7, 4.5, 1.6, 1.8, 0.2, 3.1]),  # unsorted
+        10.0 + 7.0 * np.arange(6),  # every pair admits both signs
+    ]
+
+    @pytest.mark.parametrize("d", CASES, ids=lambda d: f"n{d.size}")
+    def test_rows_match_reference_enumeration(self, d):
+        labels = list(reference_labels(d))
+        table = rp.critical_table(d)
+        assert [table.label(row) for row in table.rows()] == labels
+        values = np.array([rp.critical_value(label, d) for label in labels])
+        assert table.values.tobytes() == values.tobytes()
+        points = list(rp.enumerate_critical(d))
+        expected = [p for label in labels for p in rp.realize(label, d)]
+        assert len(points) == len(expected) == int(np.sum(2 ** (d.size - table.sizes)))
+        for got, want in zip(points, expected):
+            assert got.label == want.label
+            assert got.rotation.tobytes() == want.rotation.tobytes()
+            assert got.value == want.value
+
+    def test_ties_warn_and_match(self):
+        d = np.array([2.0, 2.0, 1.0, 3.5])
+        with pytest.warns(NonIsolatedWarning):
+            table = rp.critical_table(d)
+        assert [table.label(row) for row in table.rows()] == list(reference_labels(d))
+
+    def test_guard(self):
+        with pytest.raises(TooLarge):
+            rp.critical_table(np.linspace(3, 1, 5), max_n=4)
+
+    def test_subset_rotations_sum_to_points(self):
+        d = np.array([4.0, 0.3, 2.6, 0.5, 1.9])
+        table = rp.critical_table(d)
+        for row in table.rows():
+            blocks = [table.subset_rotations(c) for c in row]
+            for point, combo in zip(
+                rp.realize(table.label(row), d), itertools.product(*blocks)
+            ):
+                assert point.rotation.tobytes() == sum(combo).tobytes()
 
 
 class TestLabelJson:

@@ -7,9 +7,11 @@ they are checking.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from rpolar.critical import PartitionLabel, SubsetLabel
+from rpolar.critical import PartitionLabel, SubsetLabel, _pair_signs
 from rpolar.linalg import haar_rotations
 
 
@@ -73,6 +75,39 @@ def random_partition(rng: np.random.Generator, n: int):
             i, j = indices.pop(), indices.pop()
             subsets.append(tuple(sorted((i, j))))
     return subsets
+
+
+def _all_partitions(indices: tuple[int, ...]):
+    """Partitions of sorted ``indices`` into subsets of size 1 or 2: first
+    index alone, then paired with each later index in turn."""
+    if not indices:
+        yield ()
+        return
+    first, rest = indices[0], indices[1:]
+    for tail in _all_partitions(rest):
+        yield ((first,),) + tail
+    for j, other in enumerate(rest):
+        for tail in _all_partitions(rest[:j] + rest[j + 1 :]):
+            yield ((first, other),) + tail
+
+
+def reference_labels(d: np.ndarray):
+    """Every critical label in enumeration order, one object at a time.
+
+    Per partition, the det signs run over ``itertools.product`` of each
+    subset's options (first subset slowest, +1 first), keeping those with
+    product +1; pair options come from the scalar ``_pair_signs``.
+    """
+    for partition in _all_partitions(tuple(range(1, d.size + 1))):
+        options = [
+            (1, -1) if len(sub) == 1 else _pair_signs(d[sub[0] - 1], d[sub[1] - 1])
+            for sub in partition
+        ]
+        for signs in itertools.product(*options):
+            if int(np.prod(signs)) == 1:
+                yield PartitionLabel(
+                    subsets=tuple(SubsetLabel(s, g) for s, g in zip(partition, signs))
+                )
 
 
 def random_scheme_start(rng: np.random.Generator, d: np.ndarray) -> PartitionLabel:
