@@ -19,12 +19,10 @@ from .blockdiag import (
 )
 from .critical import (
     CriticalPoint,
-    CriticalTable,
     DiagParams,
     PartitionLabel,
     SubsetLabel,
     as_diag,
-    critical_table,
     critical_value,
     energy,
     energy_weighted,

@@ -27,14 +27,14 @@ from . import __version__
 from .blockdiag import block_diagonalize
 from .critical import (
     DEFAULT_MAX_N,
-    CriticalTable,
     PartitionLabel,
     SubsetLabel,
     as_diag,
-    critical_table,
     critical_value,
     enumerate_critical,  # not called here; perfbench traces it as cli.enumerate_critical
     realize,
+    _critical_table,
+    _CriticalTable,
 )
 from .errors import (
     DegenerateD,
@@ -154,7 +154,7 @@ def _float_text(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
 
 
-def _listing_order(table: CriticalTable) -> np.ndarray:
+def _listing_order(table: _CriticalTable) -> np.ndarray:
     """Row order of the listing: value, then label string.
 
     No subset text is a prefix of another, and two labels that agree on
@@ -168,7 +168,7 @@ def _listing_order(table: CriticalTable) -> np.ndarray:
     return np.lexsort(columns + [table.values])
 
 
-def _write_critical_points(table: CriticalTable) -> None:
+def _write_critical_points(table: _CriticalTable) -> None:
     """Write every critical point as one JSON line, in listing order.
 
     Rows follow ``_listing_order``, and the points of a row go in angle
@@ -263,7 +263,7 @@ def cmd_critical(args) -> int:
             payload["reason"] = str(exc)
         _emit(payload)
         return EXIT_OK
-    _write_critical_points(critical_table(params, max_n=args.max_n))
+    _write_critical_points(_critical_table(params, max_n=args.max_n))
     return EXIT_OK
 
 

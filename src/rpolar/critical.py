@@ -287,8 +287,8 @@ def _label_value(subsets, dv) -> float:
     """Sum of the values of (indices, det) subsets, added left to right.
 
     An explicit loop rather than ``sum()``, so that the value does not
-    depend on the Python version's float summation; ``critical_table``
-    adds its columns in the same order.
+    depend on the Python version's float summation; ``_table`` adds its
+    columns in the same order.
     """
     total = 0.0
     for indices, det in subsets:
@@ -301,19 +301,13 @@ def _check_structure(label: PartitionLabel, n: int) -> None:
         raise InfeasibleLabel(f"label covers {label.n} indices, parameters have {n}")
 
 
-def _pair_signs(di, dj):
+def _pair_signs(di, dj) -> tuple[int, ...]:
     """Det signs for which the pair {i, j} admits a 2x2 block.
 
     det +1 needs d_i + d_j > 2 and det -1 needs |d_i - d_j| > 2, each by
     more than ``BOUNDARY_TOL``.  For positive entries the sum dominates the
     difference, so the result is (), (1,) or (1, -1).
-
-    For arrays of entries the result is instead a boolean array of shape
-    (..., 2): whether det +1 (column 0) and det -1 (column 1) admit a block.
     """
-    if type(di) is np.ndarray:  # cheaper than isinstance on the scalar path
-        plus = di + dj > 2.0 + BOUNDARY_TOL
-        return np.stack([plus, plus & (np.abs(di - dj) > 2.0 + BOUNDARY_TOL)], axis=-1)
     if not di + dj > 2.0 + BOUNDARY_TOL:
         return ()
     if not abs(di - dj) > 2.0 + BOUNDARY_TOL:
@@ -467,49 +461,38 @@ def _partitions(indices: tuple[int, ...]):
 
 
 @functools.lru_cache(maxsize=None)
-def _label_rows(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """Every label of SO(n) as integer rows, feasible or not: (subsets, codes, sizes).
+def _partition_rows(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The partitions of {1, ..., n} into subsets of size 1 or 2 as integer rows.
 
-    ``subsets`` lists (1-based indices, det sign) per subset code: codes
-    2s and 2s + 1 are subset s with det +1 and det -1, the singletons
-    {1}, ..., {n} first, then the pairs in lexicographic order.  Row k of
-    ``codes`` holds the ``sizes[k]`` subset codes of one label in label
-    order, padded with ``len(subsets)``.  Rows follow ``_partitions``,
-    then the det signs in ``itertools.product`` order over (1, -1) per
-    subset, keeping those whose product is +1.  Cached read-only per n.
+    Returns (subsets, sids, sizes).  ``subsets`` lists (1-based indices,
+    det sign) per subset code: codes 2s and 2s + 1 are subset s with det
+    +1 and det -1, the singletons {1}, ..., {n} first, then the pairs in
+    lexicographic order.  Row k of ``sids`` holds the ``sizes[k]`` subsets
+    s of one partition in label order, padded with n(n + 1) / 2, the
+    number of subsets.  Rows follow ``_partitions``.  Cached read-only per
+    n; one row per partition, not per label (140 152 rows at n = 12).
     """
     index_sets = [(i,) for i in range(1, n + 1)]
     index_sets += itertools.combinations(range(1, n + 1), 2)
     subsets = tuple((indices, det) for indices in index_sets for det in (1, -1))
     sid = {indices: s for s, indices in enumerate(index_sets)}
-    partitions = list(_partitions(tuple(range(1, n + 1))))
-    sizes = np.array([len(p) for p in partitions])
+    # partitions of {1, ..., m}: m alone, or paired with one of the others
+    counts = [1, 1]
+    for m in range(2, n + 1):
+        counts.append(counts[-1] + (m - 1) * counts[-2])
     # the smallest integer type that holds every code, n(n + 1) for padding
-    sids = np.full((len(partitions), n), len(index_sets), np.min_scalar_type(-n * (n + 1)))
-    for k, partition in enumerate(partitions):
+    sids = np.full((counts[n], n), len(index_sets), np.min_scalar_type(-n * (n + 1)))
+    sizes = np.empty(counts[n], np.int64)
+    for k, partition in enumerate(_partitions(tuple(range(1, n + 1)))):
         sids[k, : len(partition)] = [sid[sub] for sub in partition]
-    # A partition into s subsets has 2^(s-1) sign patterns with an even
-    # number of -1; in product order the r-th is 2r + parity(r), whose bit
-    # s-1-p is 1 where subset p has det -1.
-    counts = 2 ** (sizes - 1)
-    row_part = np.repeat(np.arange(len(partitions)), counts)
-    r = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    parity = np.zeros_like(r)
-    for b in range(n):
-        parity ^= (r >> b) & 1
-    pattern = 2 * r + parity
-    row_sizes = sizes[row_part]
-    codes = 2 * sids[row_part]
-    for p in range(n):
-        shift = row_sizes - 1 - p
-        codes[:, p] += np.where(shift >= 0, (pattern >> np.maximum(shift, 0)) & 1, 0)
-    codes.setflags(write=False)
-    row_sizes.setflags(write=False)
-    return subsets, codes, row_sizes
+        sizes[k] = len(partition)
+    sids.setflags(write=False)
+    sizes.setflags(write=False)
+    return subsets, sids, sizes
 
 
 @dataclass(frozen=True, eq=False)
-class CriticalTable:
+class _CriticalTable:
     """Every critical label of W(.; D) as integer rows, in enumeration order.
 
     Row k is one label: ``codes[k, :sizes[k]]`` are its subsets in label
@@ -561,29 +544,50 @@ def _enumerable(d, max_n: int) -> DiagParams:
     return params
 
 
-def _table(params: DiagParams) -> CriticalTable:
-    subsets, codes, sizes = _label_rows(params.n)
+def _table(params: DiagParams) -> _CriticalTable:
+    """The partitions whose pairs all admit a block, each expanded to its
+    admitted det signs of product +1, with their values."""
+    subsets, sids, sizes = _partition_rows(params.n)
     dv = params.d
-    ends = np.array([(indices[0], indices[-1]) for indices, _ in subsets[::2]]) - 1
-    admits = _pair_signs(dv[ends[:, 0]], dv[ends[:, 1]])
-    admits[ends[:, 0] == ends[:, 1]] = True
-    # code 2s + neg is admitted where subset s admits that det sign; the
-    # padding code is always admitted and adds 0.0
-    keep = np.append(admits.ravel(), True)[codes].all(axis=1)
-    codes = codes[keep]
+    # how many det signs each subset admits; with one, it is +1, because a
+    # pair that admits -1 admits +1; the padding has one and adds 0.0
+    options = [
+        2 if len(indices) == 1 else len(_pair_signs(dv[indices[0] - 1], dv[indices[1] - 1]))
+        for indices, _ in subsets[::2]
+    ]
+    options = np.array(options + [1], np.int8)[sids]
+    keep = (options > 0).all(axis=1)
+    sids, sizes, free = sids[keep], sizes[keep], options[keep] == 2
+    # A partition with f subsets free to take either sign has 2^(f-1) sign
+    # patterns with an even number of -1 (one if f = 0); in product order
+    # the r-th is 2r + parity(r), whose bit f-1-q is 1 where the q-th free
+    # subset has det -1.
+    f = free.sum(axis=1)
+    counts = 2 ** np.maximum(f - 1, 0)
+    row_part = np.repeat(np.arange(len(sids)), counts)
+    r = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    parity = np.zeros_like(r)
+    for b in range(params.n):
+        parity ^= (r >> b) & 1
+    pattern = 2 * r + parity
+    # each column's bit position; shifts past 63 select a zero bit
+    shifts = np.where(free, f[:, None] - np.cumsum(free, axis=1), 63)
+    codes = 2 * sids[row_part]
+    for p in range(params.n):
+        codes[:, p] += (pattern >> shifts[row_part, p]) & 1
     terms = np.array([_subset_value(indices, det, dv) for indices, det in subsets] + [0.0])
     values = terms[codes[:, 0]]
     for column in codes.T[1:]:
         values += terms[column]
-    return CriticalTable(params, subsets, codes, sizes[keep], values)
+    return _CriticalTable(params, subsets, codes, sizes[row_part], values)
 
 
-def critical_table(d, max_n: int = DEFAULT_MAX_N) -> CriticalTable:
+def _critical_table(d, max_n: int = DEFAULT_MAX_N) -> _CriticalTable:
     """Every critical label of W(.; D) and its value, as arrays.
 
     The rows are the labels of ``enumerate_critical`` in its order, and
     each value equals ``critical_value`` of its label bitwise.  No rotation
-    is realized; ``CriticalTable.subset_rotations`` gives the blocks.
+    is realized; ``_CriticalTable.subset_rotations`` gives the blocks.
 
     Raises
     ------
@@ -596,13 +600,14 @@ def critical_table(d, max_n: int = DEFAULT_MAX_N) -> CriticalTable:
 def enumerate_critical(d, max_n: int = DEFAULT_MAX_N):
     """Yield every critical point of W(.; D), without duplicates.
 
-    Iterates over the rows of ``critical_table``: partitions into subsets
-    of size one or two in a fixed order, then all feasible determinant
-    signs with overall parity +1 (first subset slowest, +1 before -1),
-    then both angle signs per pair (first pair slowest, +1 first).  The
-    ``critical`` CLI streams the same points sorted by value, then by
-    label string, then in this angle order.  The count grows
-    super-exponentially, so dimensions above ``max_n`` are rejected.
+    Partitions into subsets of size one or two in a fixed order, then all
+    feasible determinant signs with overall parity +1 (first subset
+    slowest, +1 before -1), then both angle signs per pair (first pair
+    slowest, +1 first).  The labels and values come from one integer
+    table; rotations are realized one label at a time.  The ``critical``
+    CLI streams the same points sorted by value, then by label string,
+    then in this angle order.  The count grows super-exponentially, so
+    dimensions above ``max_n`` are rejected.
 
     Raises
     ------

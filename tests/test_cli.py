@@ -243,7 +243,7 @@ class TestCriticalListingMemory:
     def test_streams(self):
         # 14 848 points and 10 MB of JSON: the listing streams them, never holds them
         sink = self.Sink()
-        critical._label_rows.cache_clear()
+        critical._partition_rows.cache_clear()
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(sink):
@@ -253,6 +253,22 @@ class TestCriticalListingMemory:
             tracemalloc.stop()
         assert code == EXIT_OK
         assert sink.lines == 14848 and sink.chars > 10**7
+        assert peak < 4 * 2**20
+
+    def test_sparse_above_default_max_n(self):
+        # no pair admits a block: 1 024 points from 35 696 partitions of
+        # {1..11}, whose 2.6 M sign patterns are never expanded
+        sink = self.Sink()
+        critical._partition_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["critical", ",".join(str(0.1 + 0.07 * i) for i in range(11)), "--max-n", "11"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert sink.lines == 2**10
         assert peak < 4 * 2**20
 
 
