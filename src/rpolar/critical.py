@@ -9,6 +9,11 @@ entries, two-element subsets contribute planar rotation blocks
 (cos a = 2 / (d_i - d_j), det -1), subject to the feasibility
 inequalities d_i + d_j > 2 respectively |d_i - d_j| > 2 and to the
 overall parity prod(det) = +1 that keeps R in SO(n).
+
+A label with m pairs has 2^m critical points, one per choice of angle
+signs.  ``RotationFamily`` is the one builder of such a set, for
+``realize``, ``enumerate_critical`` and the global minimizers of
+``relaxed`` alike; its docstring gives the blocks and their order.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +43,9 @@ CRITICAL_TOL = 1e-9
 # A pair whose feasibility margin is at or below this is treated as two
 # singletons: its rotation angle is zero to within rounding.
 BOUNDARY_TOL = 1e-9
+# Iteration builds a rotation family in chunks of about this many bytes,
+# one batched call per chunk, so its memory does not grow with 2^m.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,36 +273,29 @@ def stationarity_defect(r, d) -> float:
     return 2.0 * frob_norm(_grad_batch(*_checked(r, d)))
 
 
-def is_critical(r, d, tol: float = CRITICAL_TOL) -> bool:
-    """Stationarity test: skew((R D - I)^2) small relative to 1 + ||D||^2."""
+def is_critical(r, d) -> bool:
+    """Stationarity test: ||skew((R D - I)^2)|| <= CRITICAL_TOL (1 + ||D||^2)."""
     dv = _diag_values(d)
-    return stationarity_defect(r, dv) <= tol * (1.0 + float(np.sum(dv * dv)))
+    return stationarity_defect(r, dv) <= CRITICAL_TOL * (1.0 + float(np.sum(dv * dv)))
 
 
 # -- critical values ---------------------------------------------------------
 
 
-def _subset_value(indices, det: int, dv) -> float:
-    """Critical value of one subset, given by its 1-based indices and det sign."""
-    if len(indices) == 1:
-        di = dv[indices[0] - 1]
-        return (di - 1.0) ** 2 if det == 1 else (di + 1.0) ** 2
-    di, dj = (dv[i - 1] for i in indices)
-    if det == 1:
-        return 0.5 * (di - dj) ** 2
-    return 0.5 * (di + dj) ** 2
-
-
 def _label_value(subsets, dv) -> float:
-    """Sum of the values of (indices, det) subsets, added left to right.
+    """Sum of the values of (1-based indices, det) subsets, added left to right.
 
+    A singleton's value is (d_i - det)^2 and a pair's (d_i - det d_j)^2 / 2.
     An explicit loop rather than ``sum()``, so that the value does not
     depend on the Python version's float summation; ``_table`` adds its
     columns in the same order.
     """
     total = 0.0
     for indices, det in subsets:
-        total += _subset_value(indices, det, dv)
+        if len(indices) == 1:
+            total += (dv[indices[0] - 1] - det) ** 2
+        else:
+            total += 0.5 * (dv[indices[0] - 1] - det * dv[indices[1] - 1]) ** 2
     return float(total)
 
 
@@ -366,52 +369,122 @@ def _write_pair(r, i, j, di, dj, det: int) -> None:
     r[i, i], r[i, j], r[j, i], r[j, j] = c, -det * s, s, det * c
 
 
-def _sign_bits(m: np.ndarray, k: int) -> np.ndarray:
-    """(len(m), k) angle-sign bits of int64 indices m: pair p takes bit k-1-p."""
-    # shifts past 63 select bits that are zero for every int64 index
-    shifts = np.minimum(k - 1 - np.arange(k), 63)
-    return (m[:, None] >> shifts) & 1
+class RotationFamily(Sequence):
+    """The 2^m critical rotations of one labeled partition, built on demand.
 
+    B_0 has the given diagonal, over which each of the m pairs (i, j, det)
+    has its 2x2 block written by ``_write_pair`` at rows and columns
+    (i, j), in that order: cos a at (i, i), -det sin a at (i, j) and sin a
+    at (j, i), so the angle sign refers to the block written i first.
+    Rotation v is L B_v R^T, where B_v is B_0 with the angle sign of pair
+    p negated (its two off-diagonal entries flipped) where bit m-1-p of v
+    is set: the first pair varies slowest and takes +1 first.  Without a
+    left frame L = I, and R is I or a reflection J, a column sign flip.
+    With the frames (L, R) = (V, W) of F = V S W^T, each rotation is a
+    rank-2m update of one fixed matrix, through the 2m paired columns of
+    V and W.
 
-def _angle_variants(base, off, values, bits) -> np.ndarray:
-    """Copies of ``base``, one per row of a (batch, k) sign-bit array.
-
-    ``off`` = (i + j, j + i) locates the off-diagonal entries of the k pairs
-    (i[p], j[p]), written into ``base`` with angle sign +1, and ``values``
-    = ``base[off]``.  The angle sign is the sign of sin a, so a set bit p
-    negates exactly the two off-diagonal entries of pair p.
+    Indexing builds one matrix in O(n^2 m) time and O(n^2) memory;
+    iteration builds chunks of about ``CHUNK_BYTES`` with one batched call
+    each and yields views into them.  ``len`` is 2^m, which, as for
+    ``range``, the builtin ``len()`` can report only up to ``sys.maxsize``
+    (m <= 62); indexing works for any m.  ``cosines`` holds cos a per pair.
     """
-    sigma = 1.0 - 2.0 * bits
-    out = np.repeat(base[None], bits.shape[0], axis=0)
-    out[:, off[0], off[1]] = np.concatenate([sigma, sigma], axis=1) * values
-    return out
+
+    def __init__(self, diagonal, pairs, dv, left=None, right=None):
+        """Family of B_0 with ``diagonal`` and the 0-based ``pairs`` (i, j, det).
+
+        ``dv`` holds the n values the pairs index.  ``left`` and ``right``
+        are the frames V and W; with ``left`` None, ``right`` is None or
+        the diagonal of the reflection J.
+        """
+        self.m = len(pairs)
+        self._n = len(dv)
+        self._count = 2**self.m
+        base = np.zeros((self._n, self._n))
+        np.fill_diagonal(base, diagonal)
+        for i, j, det in pairs:
+            _write_pair(base, i, j, dv[i], dv[j], det)
+        self.cosines = tuple([base.item(i, i) for i, _, _ in pairs])
+        paired = np.array([index for i, j, _ in pairs for index in (i, j)], np.intp)
+        if left is None:
+            if right is not None:
+                # B_0 J flips column signs; + 0.0 turns the -0.0 of a flipped
+                # zero into the +0.0 that the product B_0 @ J gives
+                base = base * right + 0.0
+            self._base = base
+            i, j = paired[0::2], paired[1::2]
+            self._off = (np.concatenate([i, j]), np.concatenate([j, i]))
+            self._off_values = base[self._off]
+            self._frames = None
+        else:
+            # V B_v W^T = V C W^T + V_P diag(sigma_v) O_P W^T, where C is the
+            # diagonal of B_0, O its off-diagonal part (one entry in each
+            # paired row) and sigma_v the signs
+            self._base = (left * base.diagonal()) @ right.T
+            off_rows = np.zeros((paired.size, self._n))
+            for p, (i, j, _) in enumerate(pairs):
+                off_rows[2 * p, j], off_rows[2 * p + 1, i] = base[i, j], base[j, i]
+            self._frames = (left.take(paired, axis=1), off_rows @ right.T)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(self._count)[index])
+        v = operator.index(index)
+        if v < 0:
+            v += self._count
+        if not 0 <= v < self._count:
+            raise IndexError(f"rotation index {index} out of range for 2^{self.m}")
+        bits = [(v >> (self.m - 1 - p)) & 1 for p in range(self.m)]
+        return self._build(np.array(bits, dtype=np.int64).reshape(1, self.m))[0]
+
+    def __iter__(self):
+        step = max(1, CHUNK_BYTES // (8 * self._n * self._n))
+        for start in range(0, self._count, step):
+            yield from self._chunk(start, min(start + step, self._count))
+
+    def _chunk(self, start: int, stop: int) -> np.ndarray:
+        """Rotations start, ..., stop - 1, shape (stop - start, n, n)."""
+        v = np.arange(start, stop, dtype=np.int64)
+        # shifts past 63 select bits that are zero for every int64 index
+        shifts = np.minimum(self.m - 1 - np.arange(self.m), 63)
+        return self._build((v[:, None] >> shifts) & 1)
+
+    def _build(self, bits: np.ndarray) -> np.ndarray:
+        """Rotations for a (batch, m) array of sign bits, shape (batch, n, n)."""
+        sigma = 1.0 - 2.0 * bits
+        if self._frames is None:
+            out = np.repeat(self._base[None], bits.shape[0], axis=0)
+            out[:, self._off[0], self._off[1]] = (
+                np.concatenate([sigma, sigma], axis=1) * self._off_values
+            )
+            return out
+        left_p, off_rows = self._frames
+        out = (left_p * np.repeat(sigma, 2, axis=1)[:, None, :]) @ off_rows
+        out += self._base
+        return out
 
 
-def _rotations(subsets, dv: np.ndarray) -> np.ndarray:
-    """The 2^m critical rotations of checked (indices, det) subsets.
-
-    Variant v gives pair p the angle sign -1 where bit m-1-p of v is set,
-    so the first pair varies slowest and each pair takes +1 first.
-    """
-    base = np.zeros((dv.size, dv.size))
+def _family(subsets, dv: np.ndarray) -> RotationFamily:
+    """The rotation family of checked (indices, det) subsets in label order."""
+    diagonal = np.zeros(dv.size)
     pairs = []
     for indices, det in subsets:
-        i, j = indices[0] - 1, indices[-1] - 1
-        if i == j:
-            base[i, i] = det
+        if len(indices) == 1:
+            diagonal[indices[0] - 1] = det
         else:
-            _write_pair(base, i, j, dv[i], dv[j], det)
-            pairs.append((i, j))
-    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    off = (np.concatenate([i, j]), np.concatenate([j, i]))
-    bits = _sign_bits(np.arange(2 ** len(pairs), dtype=np.int64), len(pairs))
-    return _angle_variants(base, off, base[off], bits)
+            pairs.append((indices[0] - 1, indices[1] - 1, det))
+    return RotationFamily(diagonal, pairs, dv)
 
 
 def _points(label: PartitionLabel, dv: np.ndarray) -> list[CriticalPoint]:
     """The 2^m critical points of a checked label, ignoring its angle signs."""
     subsets = [(s.indices, s.det_sign) for s in label.subsets]
-    rotations = _rotations(subsets, dv)
+    family = _family(subsets, dv)
+    rotations = family._chunk(0, len(family))
     value = _label_value(subsets, dv)
     # angle signs: +1 for a singleton, +1 then -1 for a pair
     options = [
@@ -429,9 +502,9 @@ def realize(label: PartitionLabel, d) -> list[CriticalPoint]:
 
     Each two-element subset carries two symmetric critical rotations; the
     returned list covers all 2^m combinations (m pairs), whatever angle
-    signs ``label`` carries, with the first pair varying slowest and the
-    +1 angle first per pair.  Every point satisfies the stationarity test
-    and realizes ``critical_value(label, d)``.
+    signs ``label`` carries, in the order of ``RotationFamily`` with the
+    pairs in label order, each written smaller index first.  Every point
+    satisfies the stationarity test and realizes ``critical_value(label, d)``.
 
     Raises
     ------
@@ -523,7 +596,8 @@ class _CriticalTable:
         columns: a label's rotation is the sum of its subsets' blocks for
         the chosen angle signs.
         """
-        return _rotations([self.subsets[code]], self.params.d)
+        family = _family([self.subsets[code]], self.params.d)
+        return family._chunk(0, len(family))
 
 
 def _enumerable(d, max_n: int) -> DiagParams:
@@ -575,7 +649,7 @@ def _table(params: DiagParams) -> _CriticalTable:
     codes = 2 * sids[row_part]
     for p in range(params.n):
         codes[:, p] += (pattern >> shifts[row_part, p]) & 1
-    terms = np.array([_subset_value(indices, det, dv) for indices, det in subsets] + [0.0])
+    terms = np.array([_label_value([sub], dv) for sub in subsets] + [0.0])
     values = terms[codes[:, 0]]
     for column in codes.T[1:]:
         values += terms[column]
@@ -602,8 +676,8 @@ def enumerate_critical(d, max_n: int = DEFAULT_MAX_N):
 
     Partitions into subsets of size one or two in a fixed order, then all
     feasible determinant signs with overall parity +1 (first subset
-    slowest, +1 before -1), then both angle signs per pair (first pair
-    slowest, +1 first).  The labels and values come from one integer
+    slowest, +1 before -1), then both angle signs per pair in the order
+    of ``RotationFamily``.  The labels and values come from one integer
     table; rotations are realized one label at a time.  The ``critical``
     CLI streams the same points sorted by value, then by label string,
     then in this angle order.  The count grows super-exponentially, so

@@ -10,8 +10,9 @@ cos(a_i) = 2 / (d_{2i-1} + d_{2i}) and a free angle sign, so there are
     W_red(D) = 1/2 sum_{i<=k} (d_{2i-1} - d_{2i})^2
              + sum_{i>2k} (d_i - 1)^2.
 
-The 2^k minimizers share one frame and the k cosines and differ only in
-the angle signs, so they are kept as a lazy sequence and built on demand.
+The 2^k minimizers are the critical points of that optimal label, so
+they are built on demand as its ``critical.RotationFamily`` (see
+``MinimizerSet`` for their order), and W_red is its critical value.
 
 This module also provides the energy-decreasing label transformation that
 connects an arbitrary critical point to the optimal one, the full-matrix
@@ -21,7 +22,6 @@ diagonal parameters with negative entries.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -33,122 +33,41 @@ from .critical import (
     BOUNDARY_TOL,
     DiagParams,
     PartitionLabel,
+    RotationFamily,
     SubsetLabel,
-    _angle_variants,
+    _label_value,
     _pair_signs,
-    _sign_bits,
-    _write_pair,
     as_diag,
     critical_value,
 )
 from .errors import DegenerateD, NonClassicalRange, TiesNotStrictWarning
 from .linalg import RANK_TOL, _svd_polar, as_matrix, polar_decompose
 
-# Iteration builds the minimizers in chunks of about this many bytes, one
-# batched call per chunk, so its memory does not grow with 2^k.
-CHUNK_BYTES = 1 << 20
-
-
-class MinimizerRotations(Sequence):
-    """The 2^k global minimizers of one problem, built on demand.
-
-    Minimizer m is L B_m R^T: B_m is the identity with the k 2x2 rotation
-    blocks written at the paired indices, and pair p takes angle sign -1
-    where bit k-1-p of m is set, so the first pair's sign varies slowest
-    and +1 comes first.  Without a left frame L = I and B_m is built by
-    ``critical._angle_variants``, as ``critical.realize`` builds it; the
-    right frame is then I or a reflection J, a column sign flip.  With
-    the frames (L, R) = (V, W) of F = V S W^T, each minimizer is a
-    rank-2k update of one fixed matrix, through the 2k paired columns of
-    V and W.
-
-    Indexing builds one matrix in O(n^2 k) time and O(n^2) memory;
-    iteration builds chunks of about ``CHUNK_BYTES`` with one batched call
-    each and yields views into them.  ``len`` is 2^k, which, as for
-    ``range``, the builtin ``len()`` can report only up to ``sys.maxsize``
-    (k <= 62); indexing works for any k.
-    """
-
-    def __init__(self, params: DiagParams, k: int, left=None, right=None):
-        """Minimizers for the k leading sorted pairs of ``params``.
-
-        ``left`` and ``right`` are the frames V and W; with ``left`` None,
-        ``right`` is None or the diagonal of the reflection J.
-        """
-        self.k = k
-        self._n = params.n
-        self._count = 2**k
-        paired = params.order[: 2 * k]
-        i, j = paired[0::2], paired[1::2]
-        # B_0 has every block with angle sign +1, written by the one block
-        # writer; B_m differs from it only in the sign of the off-diagonal
-        # entries of the pairs whose bit is set.
-        base = np.eye(self._n)
-        for p in range(k):
-            _write_pair(base, i[p], j[p], params.d[i[p]], params.d[j[p]], 1)
-        if left is None:
-            if right is not None:
-                # B_0 J flips column signs; + 0.0 turns the -0.0 of a flipped
-                # zero into the +0.0 that the product B_0 @ J gives
-                base = base * right + 0.0
-            self._base = base
-            self._off = (np.concatenate([i, j]), np.concatenate([j, i]))
-            self._off_values = base[self._off]
-            self._frames = None
-        else:
-            # V B_m W^T = V C W^T + V_P diag(sigma_m) O_P W^T, where C is the
-            # diagonal of B_0, O its off-diagonal part and sigma_m the signs
-            c = np.diagonal(base)
-            self._base = (left * c) @ right.T
-            self._frames = (left[:, paired], (base - np.diag(c))[paired] @ right.T)
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(self._count)[index])
-        m = operator.index(index)
-        if m < 0:
-            m += self._count
-        if not 0 <= m < self._count:
-            raise IndexError(f"minimizer index {index} out of range for 2^{self.k}")
-        bits = [(m >> (self.k - 1 - p)) & 1 for p in range(self.k)]
-        return self._build(np.array(bits, dtype=np.int64).reshape(1, self.k))[0]
-
-    def __iter__(self):
-        step = max(1, CHUNK_BYTES // (8 * self._n * self._n))
-        for start in range(0, self._count, step):
-            m = np.arange(start, min(start + step, self._count), dtype=np.int64)
-            yield from self._build(_sign_bits(m, self.k))
-
-    def _build(self, bits: np.ndarray) -> np.ndarray:
-        """Minimizers for a (batch, k) array of sign bits, shape (batch, n, n)."""
-        if self._frames is None:
-            return _angle_variants(self._base, self._off, self._off_values, bits)
-        left_p, off_rows = self._frames
-        sigma = 1.0 - 2.0 * bits
-        out = (left_p * np.repeat(sigma, 2, axis=1)[:, None, :]) @ off_rows
-        out += self._base
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class MinimizerSet:
     """All global minimizers of W(.; D) plus the reduced energy.
 
-    ``rotations`` is a lazy, read-only sequence of the 2^k minimizers
-    (matrices in user index order): ``rotations[m]`` builds the minimizer
-    whose angle sign on pair p is -1 where bit k-1-p of m is set (per pair
-    the +1 sign first, the first pair varying slowest), iteration builds
-    them in chunks, and ``np.stack(list(ms.rotations))`` materializes them
-    all.  ``cos_alphas`` holds the per-pair rotation cosines in sorted
-    order, and ``label`` the optimal partition in user indices with all
-    det signs +1, built on first read.
-    ``flags`` may contain "boundary_case" (the first sorted pair left as
-    singletons has a sum within ``BOUNDARY_TOL`` of 2),
-    "non_isolated" (an active tie makes the family continuous) and
-    "reflected" (minimizers were composed with a sign reflection).
+    ``rotations`` is the lazy, read-only ``critical.RotationFamily`` of
+    the optimal label (matrices in user index order, in the family's bit
+    order): ``rotations[m]`` builds one minimizer, iteration builds them
+    in chunks, and ``np.stack(list(ms.rotations))`` materializes them
+    all.  Its pairs come in rank order, pair p holding the entries of
+    sorted ranks 2p+1 and 2p+2, each written larger value first, so an
+    angle sign refers to that block.  ``realize(ms.label, d)`` gives the
+    same set, but orders the pairs by their smaller index and writes each
+    smaller index first.  For unsorted d the two orders can differ, and a
+    pair whose larger value sits at the larger index has its angle sign
+    negated: for d = [1.5, 2], ``rotations[0]`` is realize's -1 point.
+
+    ``cos_alphas`` holds the per-pair rotation cosines in rank order,
+    ``reduced_energy`` is ``critical_value(label, d)`` bitwise, and
+    ``label`` is the optimal partition in user indices with all det signs
+    +1, built on first read.  ``flags`` may contain "boundary_case" (the
+    first sorted pair left as singletons has a sum within
+    ``BOUNDARY_TOL`` of 2), "non_isolated" (an active tie makes the
+    family continuous) and "reflected" (minimizers were composed with a
+    sign reflection).
     """
 
     k: int
@@ -156,11 +75,11 @@ class MinimizerSet:
     reduced_energy: float
     cos_alphas: tuple[float, ...]
     flags: tuple[str, ...]
-    _params: DiagParams = field(repr=False)
+    _subsets: tuple = field(repr=False)
 
     @cached_property
     def label(self) -> PartitionLabel:
-        return _relabel(_leading_pairs(self.k, self._params.n), self._params.order)
+        return PartitionLabel(subsets=tuple(SubsetLabel(*sub) for sub in self._subsets))
 
 
 @dataclass(frozen=True)
@@ -230,7 +149,7 @@ def _tie_flags(params: DiagParams, k: int) -> list[str]:
 def _minimize(params: DiagParams, left=None, right=None) -> MinimizerSet:
     """Minimizer set of W(.; diag(params.d)) in the frames (left, right).
 
-    See ``MinimizerRotations`` for the frames.  Warns, on behalf of the
+    See ``critical.RotationFamily`` for the frames.  Warns, on behalf of the
     public caller, when an active tie makes the minimizers non-isolated.
     """
     k = optimal_k(params)
@@ -249,23 +168,25 @@ def _minimize(params: DiagParams, left=None, right=None) -> MinimizerSet:
         )
     flags.extend(tie_flags)
 
-    cos_alphas = tuple(2.0 / (sd[2 * i] + sd[2 * i + 1]) for i in range(k))
-    # Summed term by term in this order, so the value does not depend on
-    # the Python version's float summation.
-    pair_sum = 0.0
-    for i in range(k):
-        pair_sum += (sd[2 * i] - sd[2 * i + 1]) ** 2
-    single_sum = 0.0
-    for j in range(2 * k, len(sd)):
-        single_sum += (sd[j] - 1.0) ** 2
-
+    # the optimal label: its pairs in rank order, each written larger value
+    # first, and every subset with det +1
+    order = params.order.tolist()
+    dv = params.d.tolist()
+    pairs = [(order[2 * p], order[2 * p + 1], 1) for p in range(k)]
+    rotations = RotationFamily([1.0] * len(dv), pairs, dv, left, right)
+    partner = list(range(len(dv)))
+    for i, j, _ in pairs:
+        partner[i], partner[j] = j, i
+    subsets = tuple(
+        [((i + 1,) if i == j else (i + 1, j + 1), 1) for i, j in enumerate(partner) if i <= j]
+    )
     return MinimizerSet(
         k=k,
-        rotations=MinimizerRotations(params, k, left, right),
-        reduced_energy=0.5 * pair_sum + single_sum,
-        cos_alphas=cos_alphas,
+        rotations=rotations,
+        reduced_energy=_label_value(subsets, dv),
+        cos_alphas=rotations.cosines,
         flags=tuple(flags),
-        _params=params,
+        _subsets=subsets,
     )
 
 
@@ -403,7 +324,6 @@ def scheme_minimize(start: PartitionLabel, d) -> SchemeTrace:
 
     # params.order maps sorted ranks to user indices, its inverse back
     current = _relabel(start, np.argsort(params.order))
-    rank_params = DiagParams.from_values(sd)
 
     steps = []
     for name, transform in (
@@ -418,13 +338,15 @@ def scheme_minimize(start: PartitionLabel, d) -> SchemeTrace:
         ("exhaust", lambda lab: _leading_pairs(optimal_k(sd), lab.n)),
     ):
         after = transform(current)
+        before_user = _relabel(current, params.order)
+        after_user = _relabel(after, params.order)
         steps.append(
             SchemeStep(
                 name=name,
-                label_before=_relabel(current, params.order),
-                label_after=_relabel(after, params.order),
-                value_before=critical_value(current, rank_params),
-                value_after=critical_value(after, rank_params),
+                label_before=before_user,
+                label_after=after_user,
+                value_before=critical_value(before_user, params),
+                value_after=critical_value(after_user, params),
             )
         )
         current = after

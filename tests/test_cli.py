@@ -181,6 +181,15 @@ class TestCriticalCmd:
         code, _, _ = run(capsys, "critical", "0.9,0.5", "--label", "{1,2}+")
         assert code == EXIT_INFEASIBLE
 
+    def test_first_value_is_reduced_energy(self, capsys):
+        rng = np.random.default_rng(11)
+        for _ in range(15):
+            values = ",".join(map(repr, rng.uniform(0.1, 5.0, int(rng.integers(2, 7))).tolist()))
+            _, listing, _ = run(capsys, "critical", values)
+            _, minimizers, _ = run(capsys, "rpolar", "diag", values)
+            first = json.loads(listing.partition("\n")[0])
+            assert first["value"] == json.loads(minimizers)["reduced_energy"]
+
     def test_too_large(self, capsys):
         values = ",".join(str(v) for v in np.linspace(3.0, 1.0, 11))
         code, _, _ = run(capsys, "critical", values)
@@ -391,6 +400,15 @@ class TestSchemeCmd:
         assert values == pytest.approx(
             [17.78125, 10.78125, 10.78125, 2.8125, 2.8125], abs=1e-12
         )
+        assert data["final_value"] == data["reduced_energy"]
+
+    def test_unsorted_final_value_is_reduced_energy(self, capsys):
+        code, out, _ = run(
+            capsys, "scheme", "1.9,3.8,0.3,0.5", "--label", "{1}+,{2,3}-,{4}+",
+            "--format", "json",
+        )
+        assert code == EXIT_OK
+        data = json.loads(out)
         assert data["final_value"] == data["reduced_energy"]
 
     def test_text_table(self, capsys):

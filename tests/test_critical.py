@@ -308,7 +308,7 @@ class TestEnumerate:
         d = np.array([3.1, 2.2, 0.9, 0.4])
         for p in rp.enumerate_critical(d):
             assert abs(rp.energy(p.rotation, d) - p.value) <= 1e-10 * (1 + p.value)
-            assert rp.is_critical(p.rotation, d, tol=1e-9)
+            assert rp.is_critical(p.rotation, d)
             assert rp.frob_norm(rp.riemannian_gradient(p.rotation, d)) <= 1e-9
             assert rp.is_rotation(p.rotation)
 

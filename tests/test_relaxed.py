@@ -48,7 +48,7 @@ class TestRpolarDiag:
         for r in ms.rotations:
             assert rp.is_rotation(r)
             assert rp.energy(r, D5) == pytest.approx(45 / 16, rel=1e-12)
-            assert rp.is_critical(r, D5, tol=1e-9)
+            assert rp.is_critical(r, D5)
 
     def test_small_values_identity(self):
         d = [0.9, 0.7, 0.5]
@@ -111,6 +111,28 @@ class TestRpolarDiag:
         assert len(realized) == len(ms.rotations) == 4
         for r, expected in zip(ms.rotations, realized):
             np.testing.assert_array_equal(r, expected)
+
+    def test_angle_signs_refer_to_rank_ordered_pairs(self):
+        # unsorted input: pairs come in rank order, each written larger
+        # value first, so realize's order and angle signs may differ
+        d = [1.5, 2.0]
+        ms = rp.rpolar_diag(d)
+        realized = [p.rotation for p in rp.realize(ms.label, d)]
+        assert ms.rotations[0].tobytes() == realized[1].tobytes()
+        assert ms.rotations[1].tobytes() == realized[0].tobytes()
+        d = [2.0, 1.5, 4.0, 3.0]
+        ms = rp.rpolar_diag(d)
+        realized = [p.rotation for p in rp.realize(ms.label, d)]
+        for m, point in enumerate((0, 2, 1, 3)):
+            assert ms.rotations[m].tobytes() == realized[point].tobytes()
+
+    def test_minimizers_equal_realize_as_sets(self):
+        rng = np.random.default_rng(314)
+        for _ in range(200):
+            d = rng.uniform(0.1, 5.0, int(rng.integers(1, 9)))
+            ms = rp.rpolar_diag(d)
+            realized = sorted(p.rotation.tobytes() for p in rp.realize(ms.label, d))
+            assert sorted(r.tobytes() for r in ms.rotations) == realized
 
     def test_boundary_flagged(self):
         ms = rp.rpolar_diag([1.0, 1.0, 0.5])
@@ -183,6 +205,44 @@ class TestBoundaryConsistency:
             for sub in point.label.pairs():
                 i, j = sub.indices
                 assert sub.det_sign in _pair_signs(d[i - 1], d[j - 1])
+
+
+class TestOneValue:
+    """The reduced energy is the optimal label's critical value, bitwise."""
+
+    def test_diag_unsorted(self):
+        rng = np.random.default_rng(161)
+        for _ in range(300):
+            d = rng.uniform(0.1, 5.0, int(rng.integers(2, 9)))
+            ms = rp.rpolar_diag(d)
+            assert ms.reduced_energy == rp.critical_value(ms.label, d)
+
+    def test_signed_diag(self):
+        rng = np.random.default_rng(162)
+        for _ in range(150):
+            n = int(rng.integers(2, 9))
+            signs = np.ones(n)
+            signs[rng.choice(n, size=2 * int(rng.integers(0, n // 2 + 1)), replace=False)] = -1
+            d = signs * rng.uniform(0.1, 5.0, n)
+            ms = rp.rpolar_signed_diag(d)
+            assert ms.reduced_energy == rp.critical_value(ms.label, np.abs(d))
+
+    def test_full(self):
+        rng = np.random.default_rng(163)
+        for _ in range(150):
+            n = int(rng.integers(2, 9))
+            f = rng.standard_normal((n, n)) + rng.uniform(0.0, 3.0) * np.eye(n)
+            if np.linalg.det(f) <= 0:
+                f[:, 0] *= -1.0
+            ms = rp.rpolar_full(f)
+            assert ms.reduced_energy == rp.critical_value(ms.label, np.linalg.svd(f)[1])
+
+    def test_scheme_final_value_unsorted(self):
+        rng = np.random.default_rng(164)
+        for _ in range(150):
+            d = rng.uniform(0.2, 4.0, int(rng.integers(2, 8)))
+            trace = rp.scheme_minimize(random_scheme_start(rng, d), d)
+            assert trace.final_value == rp.rpolar_diag(d).reduced_energy
 
 
 class TestRpolarFull:
@@ -414,7 +474,7 @@ class TestLazyRotations:
             assert [r.tobytes() for r in rot[1:6:2]] == [rot[i].tobytes() for i in (1, 3, 5)]
 
     def test_iteration_matches_indexing_across_chunks(self):
-        from rpolar.relaxed import CHUNK_BYTES
+        from rpolar.critical import CHUNK_BYTES
 
         rng = np.random.default_rng(3)
         n, k = 40, 9
