@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The multistart oracle
 comparison (criterion 3) takes about 6 s and blockdiag's property suite
-(criterion 4) about 7 s on a 2-core x86 host with single-threaded BLAS;
+(criterion 4) about 6 s on a 2-core x86 host with single-threaded BLAS;
 everything else completes in a few seconds.
 """
 

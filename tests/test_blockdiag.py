@@ -5,8 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rpolar as rp
-from rpolar.errors import NotLambdaSquare, NotSymmetricSquare
-from util import random_symmetric_square, random_trace_zero_block
+from rpolar.errors import Degenerate, NotLambdaSquare, NotSymmetricSquare
+from util import (
+    random_symmetric_square,
+    random_trace_zero_block,
+    reference_block_diagonalize,
+    reference_scalar_square_blocks,
+)
 
 RNG = np.random.default_rng(77)
 
@@ -24,6 +29,42 @@ def padded_rotated(y, n, seed):
     x[: y.shape[0], : y.shape[0]] = y
     t = rp.random_rotation(n, seed)
     return t @ x @ t.T
+
+
+def scale_separated(eps):
+    """One plane with G-eigenvalues 1e4 and 1e-4 beside a nearly symmetric
+    block whose G-eigenvalues are 1 +- ~2 eps, both squaring to I exactly,
+    so |lam| = 1 is dwarfed by max(G); rotated by a seeded T."""
+    t = rp.random_rotation(4, 11)
+    y = np.zeros((4, 4))
+    y[:2, :2] = [[0.0, 100.0], [0.01, 0.0]]
+    a = 0.6
+    b = np.sqrt(1.0 + eps * eps - a * a)
+    y[2:, 2:] = [[a, b + eps], [b - eps, -a]]
+    return t @ y @ t.T
+
+
+def nearly_symmetric(eps):
+    """(X, lam): a 2x2 block with skew part eps beside symmetric blocks of
+    the same square lam, in one eigenspace of X^2, rotated by a seeded T."""
+    lam = 1.0 - eps * eps
+    y = np.zeros((6, 6))
+    y[:2, :2] = [[0.6, 0.8 + eps], [0.8 - eps, -0.6]]
+    y[2, 2], y[3, 3] = np.sqrt(lam), -np.sqrt(lam)
+    y[4:, 4:] = [[0.0, 2.0], [lam / 2.0, 0.0]]
+    t = rp.random_rotation(6, 7)
+    return t @ y @ t.T, lam
+
+
+def rotated_nilpotent(seed):
+    """T Y T^T with Y strictly upper triangular in 2x2 blocks, n = 2..8."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 7
+    y = np.zeros((n, n))
+    for j in range(int(rng.integers(1, n // 2 + 1))):
+        y[2 * j, 2 * j + 1] = rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
+    t = rp.random_rotation(n, rng)
+    return t @ y @ t.T
 
 
 def check_decomposition(dec, x, tol=1e-8):
@@ -58,6 +99,12 @@ class TestIsSymmetricSquare:
     @given(arrays(float, (3, 3), elements=st.floats(-5, 5, allow_nan=False)))
     def test_any_symmetric_matrix_passes(self, raw):
         assert rp.is_symmetric_square(rp.sym(raw))
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_entries_give_a_bool(self):
+        # X^2 overflows the double range, X scaled by a power of two does not
+        assert rp.is_symmetric_square([[1e160, 0.0], [0.0, 1.0]]) is True
+        assert rp.is_symmetric_square([[1e160, 1e160], [0.0, 1.0]]) is False
 
 
 class TestEigsplit:
@@ -132,17 +179,8 @@ class TestScalarSquareBlocks:
         check_decomposition(dec, y)
 
     def test_scale_separated_planes(self):
-        # one plane with G-eigenvalues 1e4 and 1e-4 beside a nearly
-        # symmetric block whose G-eigenvalues are 1 +- ~2 eps, both
-        # squaring to I exactly, so |lam| = 1 is dwarfed by max(G)
-        t = rp.random_rotation(4, 11)
         for eps in (1e-5, 1e-6, 1e-7, 1e-8):
-            y = np.zeros((4, 4))
-            y[:2, :2] = [[0.0, 100.0], [0.01, 0.0]]
-            a = 0.6
-            b = np.sqrt(1.0 + eps * eps - a * a)
-            y[2:, 2:] = [[a, b + eps], [b - eps, -a]]
-            x = t @ y @ t.T
+            x = scale_separated(eps)
             dec = rp.scalar_square_blocks(x, 1.0)
             assert [blk.size for blk in dec.blocks] == [2, 2]
             check_decomposition(dec, x)
@@ -215,16 +253,8 @@ class TestBlockDiagonalize:
 
     @pytest.mark.parametrize("eps", [10.0**-e for e in range(4, 14)])
     def test_nearly_symmetric_block(self, eps):
-        # a 2x2 block with skew part eps beside symmetric blocks of the
-        # same square, in one eigenspace of X^2; below about CLUSTER_GAP
-        # the block may come back as two 1x1 blocks
-        lam = 1.0 - eps * eps
-        y = np.zeros((6, 6))
-        y[:2, :2] = [[0.6, 0.8 + eps], [0.8 - eps, -0.6]]
-        y[2, 2], y[3, 3] = np.sqrt(lam), -np.sqrt(lam)
-        y[4:, 4:] = [[0.0, 2.0], [lam / 2.0, 0.0]]
-        t = rp.random_rotation(6, 7)
-        x = t @ y @ t.T
+        # below about CLUSTER_GAP the block may come back as two 1x1 blocks
+        x, lam = nearly_symmetric(eps)
         check_decomposition(rp.block_diagonalize(x), x)
         check_decomposition(rp.scalar_square_blocks(x, lam), x)
 
@@ -237,13 +267,7 @@ class TestBlockDiagonalize:
         assert [b.size for b in dec.blocks] == [2]
         check_decomposition(dec, x)
         for seed in range(200):
-            rng = np.random.default_rng(seed)
-            n = 2 + seed % 7
-            y = np.zeros((n, n))
-            for j in range(int(rng.integers(1, n // 2 + 1))):
-                y[2 * j, 2 * j + 1] = rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
-            t = rp.random_rotation(n, rng)
-            x = t @ y @ t.T
+            x = rotated_nilpotent(seed)
             dec = rp.block_diagonalize(x)
             assert all(b.mu == pytest.approx(0.0, abs=1e-12) for b in dec.blocks)
             check_decomposition(dec, x)
@@ -265,3 +289,139 @@ class TestBlockDiagonalize:
             assert rp.frob_norm(dec.basis.T @ dec.basis - np.eye(n)) <= 1e-10
             assert all(b.size in (1, 2) for b in dec.blocks)
             assert dec.reconstruction_residual(y) <= 1e-6 * (1.0 + rp.frob_norm(y))
+
+    def test_empty_matrix(self):
+        empty = np.zeros((0, 0))
+        for dec in (rp.block_diagonalize(empty), rp.scalar_square_blocks(empty, 1.0)):
+            assert dec.basis.shape == (0, 0) and dec.blocks == () and dec.source_dim == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_entries_decompose(self):
+        dec = rp.block_diagonalize([[1e150, 0.0], [0.0, 1.0]])
+        assert [b.entries.tolist() for b in dec.blocks] == [[[1e150]], [[1.0]]]
+        assert [b.mu for b in dec.blocks] == [1e150 * 1e150, 1.0]
+        np.testing.assert_array_equal(dec.basis, np.eye(2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_square_overflow_raises_degenerate(self):
+        with pytest.raises(Degenerate, match="overflows"):
+            rp.block_diagonalize([[1e160, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("power", [-480, -60, 1, 60, 480])
+    def test_power_of_two_scaling_is_exact(self, power):
+        # the construction runs on X over a power of two near max|x_ij|,
+        # so 2^power X gives the same basis and exactly scaled blocks
+        x, _ = random_symmetric_square(np.random.default_rng(abs(power)), 7)
+        c = 2.0**power
+        a, b = rp.block_diagonalize(x), rp.block_diagonalize(c * x)
+        np.testing.assert_array_equal(a.basis, b.basis)
+        assert [blk.mu * c * c for blk in a.blocks] == [blk.mu for blk in b.blocks]
+        for p, q in zip(a.blocks, b.blocks):
+            np.testing.assert_array_equal(c * p.entries, q.entries)
+
+
+def assert_matches_reference(dec, reference, x):
+    """Same block sizes, mu values and order; basis and entries within
+    1e-13, relative to max|x_ij| for the entries."""
+    basis, blocks = reference
+    assert [(b.size, b.mu) for b in dec.blocks] == [(e.shape[0], mu) for e, mu in blocks]
+    np.testing.assert_allclose(dec.basis, basis, rtol=0.0, atol=1e-13)
+    tol = 1e-13 * max(1.0, float(np.max(np.abs(x))))
+    for blk, (entries, _) in zip(dec.blocks, blocks):
+        np.testing.assert_allclose(blk.entries, entries, rtol=0.0, atol=tol)
+
+
+def check_block_diagonalize(x):
+    assert_matches_reference(rp.block_diagonalize(x), reference_block_diagonalize(x), x)
+
+
+def check_scalar_square_blocks(x, lam):
+    assert_matches_reference(
+        rp.scalar_square_blocks(x, lam), reference_scalar_square_blocks(x, lam), x
+    )
+
+
+class TestAgainstReference:
+    """The stacked pass against the loop over one eigenspace at a time."""
+
+    def test_classify_recipe(self):
+        # the recipe of the benchmark's block-diagonalization inputs
+        for n in range(2, 49):
+            rng = np.random.default_rng(1000 + n)
+            for _ in range(3):
+                check_block_diagonalize(random_symmetric_square(rng, n)[0])
+
+    def test_random_symmetric_square(self):
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            check_block_diagonalize(random_symmetric_square(rng, 2 + seed % 8)[0])
+
+    def test_rotated_nilpotents(self):
+        for seed in range(200):
+            check_block_diagonalize(rotated_nilpotent(seed))
+
+    @pytest.mark.parametrize("eps", [10.0**-e for e in range(4, 14)])
+    def test_nearly_symmetric_blocks(self, eps):
+        x, lam = nearly_symmetric(eps)
+        check_block_diagonalize(x)
+        check_scalar_square_blocks(x, lam)
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7, 1e-8])
+    def test_scale_separated_planes(self, eps):
+        x = scale_separated(eps)
+        check_block_diagonalize(x)
+        check_scalar_square_blocks(x, 1.0)
+
+    def test_worked_and_tiny_inputs(self):
+        check_block_diagonalize(WORKED_Y)
+        check_scalar_square_blocks(WORKED_Y, 1.0)
+        for y in (np.diag([1e-5, 2e-5, -1e-5]), 1e-5 * QUARTER_TURN):
+            check_scalar_square_blocks(y, -1e-10)
+            check_scalar_square_blocks(padded_rotated(y, 4, seed=3), -1e-10)
+
+
+def count_factorizations(monkeypatch, fn, *args):
+    """Calls of np.linalg.eigh and np.linalg.qr made by fn(*args)."""
+    counts = {"eigh": 0, "qr": 0}
+    for name in counts:
+
+        def counted(*a, _real=getattr(np.linalg, name), _name=name, **kw):
+            counts[_name] += 1
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    fn(*args)
+    return counts
+
+
+def rotated_blocks(blocks, seed):
+    n = sum(b.shape[0] for b in blocks)
+    y = np.zeros((n, n))
+    pos = 0
+    for b in blocks:
+        y[pos : pos + b.shape[0], pos : pos + b.shape[0]] = b
+        pos += b.shape[0]
+    t = rp.random_rotation(n, seed)
+    return t @ y @ t.T
+
+
+class TestFactorizationCount:
+    """Eigenspaces of one dimension share their factorizations."""
+
+    @pytest.mark.parametrize("m", [12, 24])
+    def test_distinct_planes(self, monkeypatch, m):
+        # non-normal 2x2 blocks squaring to -(1 + j) I: m eigenspaces of
+        # dimension 2 with one plane each
+        x = rotated_blocks(
+            [np.array([[0.5, 2.0], [-(1.25 + j) / 2.0, -0.5]]) for j in range(m)], m
+        )
+        assert [b.size for b in rp.block_diagonalize(x).blocks] == [2] * m
+        # one eigh of X^2, one of the stacked Y^T Y and one stacked QR
+        assert count_factorizations(monkeypatch, rp.block_diagonalize, x) == {"eigh": 2, "qr": 1}
+
+    def test_distinct_singletons(self, monkeypatch):
+        x = rotated_blocks([np.array([[(-1.0) ** j * (1.0 + j / 8.0)]]) for j in range(48)], 48)
+        assert len(rp.block_diagonalize(x).blocks) == 48
+        # the eigh of X^2 only: a 1x1 eigenspace is its own block
+        assert count_factorizations(monkeypatch, rp.block_diagonalize, x) == {"eigh": 1, "qr": 0}

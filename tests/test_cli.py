@@ -335,6 +335,25 @@ class TestBlockdiagCmd:
         code, _, _ = run(capsys, "blockdiag", "no-such-file.txt")
         assert code == EXIT_PARSE
 
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_entries(self, capsys, tmp_path):
+        # diagonal with a finite square of 1e300
+        path = tmp_path / "big.txt"
+        path.write_text("1e150 0\n0 1\n")
+        code, out, err = run(capsys, "blockdiag", str(path))
+        assert (code, err) == (EXIT_OK, "")
+        data = json.loads(out)
+        assert [b["entries"] for b in data["blocks"]] == [[1e150], [1.0]]
+        assert data["reconstruction_residual"] == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_square_overflow(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("1e160 0\n0 1\n")
+        code, out, err = run(capsys, "blockdiag", str(path))
+        assert (code, out) == (EXIT_DEGENERATE, "")
+        assert err.splitlines() == ["error: matrix square overflows"]
+
 
 class TestVerifyCmd:
     def test_worked_case_passes(self, capsys):

@@ -11,8 +11,10 @@ import itertools
 
 import numpy as np
 
+from rpolar.blockdiag import CLUSTER_GAP, TOL_BLOCK
 from rpolar.critical import PartitionLabel, SubsetLabel, _pair_signs
-from rpolar.linalg import haar_rotations
+from rpolar.errors import NotLambdaSquare
+from rpolar.linalg import frob_norm, frob_norm_sq, haar_rotations, skew, sym
 
 
 def random_trace_zero_block(rng: np.random.Generator, mu: float) -> np.ndarray:
@@ -155,3 +157,101 @@ def random_realizable_label(rng: np.random.Generator, d: np.ndarray) -> Partitio
                         for s, g in zip(subsets, signs)
                     )
                 )
+
+
+def _reference_eigsplit(s, floor):
+    """Eigenspaces of sym(s) as (mean eigenvalue, basis), descending,
+    merging neighbours closer than CLUSTER_GAP * max|w| or ``floor``."""
+    w, v = np.linalg.eigh(sym(s))
+    scale = float(np.max(np.abs(w))) if w.size else 0.0
+    tau = max(CLUSTER_GAP * scale, floor)
+    clusters = []
+    start = 0
+    for i in range(1, len(w) + 1):
+        if i == len(w) or w[i] - w[i - 1] > tau:
+            clusters.append((float(np.mean(w[start:i])), v[:, start:i]))
+            start = i
+    clusters.reverse()
+    return clusters
+
+
+def _reference_planes(m, lam):
+    """Plane basis and complement of Y, one eigenspace at a time."""
+    n = m.shape[0]
+    w, v = np.linalg.eigh(m.T @ m)
+    yv = m @ v
+    big = w > abs(lam) + CLUSTER_GAP * w.max(initial=0.0)
+    big &= np.abs(np.sum(v * yv, axis=0)) < 0.5 * np.sqrt(np.abs(w))
+    if not big.any():
+        return v[:, :0], v
+    pairs = np.stack([v[:, big], yv[:, big] / np.sqrt(w[big])], axis=2)
+    pairs = pairs.reshape(n, 2 * pairs.shape[1])
+    basis = np.linalg.qr(pairs, mode="complete")[0]
+    return basis[:, : pairs.shape[1]], basis[:, pairs.shape[1] :]
+
+
+def _reference_pieces(m, lam):
+    """(columns, entries) per block of Y with Y^2 = lam I, unsorted."""
+    n = m.shape[0]
+    norm_m = frob_norm(m)
+    if frob_norm(m @ m - lam * np.eye(n)) > TOL_BLOCK * (1.0 + norm_m * norm_m):
+        raise NotLambdaSquare(f"matrix square is not {lam} * identity")
+    planes, rest = _reference_planes(m, lam)
+    if planes.size and rest.shape[1] > 1:
+        more, rest_of_rest = _reference_planes(rest.T @ m @ rest, lam)
+        planes = np.hstack([planes, rest @ more])
+        rest = rest @ rest_of_rest
+    k = rest.T @ m @ rest
+    if k.shape[0] % 2 or frob_norm(skew(k)) <= frob_norm(sym(k)):
+        width = 1
+        rest = rest @ np.linalg.eigh(sym(k))[1]
+    else:
+        width = 2
+        u = np.linalg.eigh(1j * skew(k))[1][:, ::-1][:, : k.shape[0] // 2]
+        rotations = np.stack([u.real, u.imag], axis=2).reshape(k.shape[0], -1)
+        rest = rest @ np.linalg.qr(rotations)[0]
+    cols = np.hstack([planes, rest])
+    mc = m @ cols
+    edges = [*range(0, planes.shape[1], 2), *range(planes.shape[1], n + 1, width)]
+    return [
+        (cols[:, a:b], cols[:, a:b].T @ mc[:, a:b], lam) for a, b in zip(edges[:-1], edges[1:])
+    ]
+
+
+def _reference_sorted(pieces, n):
+    """Basis and (entries, mu) blocks, by mu, size and leading entry descending."""
+
+    def key(piece):
+        entries, mu = piece[1], piece[2]
+        lead = entries[0, 0] if entries.shape[0] == 1 else 0.0
+        return (-mu, -entries.shape[0], -lead)
+
+    pieces = sorted(pieces, key=key)
+    basis = np.hstack([cols for cols, _, _ in pieces]) if pieces else np.eye(n)
+    return basis, [(entries, mu) for _, entries, mu in pieces]
+
+
+def reference_block_diagonalize(x):
+    """Block-diagonalization of X one eigenspace of X^2 at a time.
+
+    The per-eigenspace loop that ``rpolar.block_diagonalize`` replaces by
+    stacks of eigenspaces of one dimension: each restriction is factored
+    on its own, with the validating ``linalg`` helpers and without
+    scaling, and the blocks are sorted at the end.  Returns
+    (basis, [(entries, mu), ...]).
+    """
+    m = np.asarray(x, dtype=float)
+    n = m.shape[0]
+    floor = 64 * n * np.finfo(float).eps * frob_norm_sq(m)
+    pieces = [
+        (basis @ cols, entries, mu)
+        for lam, basis in _reference_eigsplit(m @ m, floor)
+        for cols, entries, mu in _reference_pieces(basis.T @ m @ basis, lam)
+    ]
+    return _reference_sorted(pieces, n)
+
+
+def reference_scalar_square_blocks(y, lam):
+    """``reference_block_diagonalize`` for Y with Y^2 = lam I alone."""
+    m = np.asarray(y, dtype=float)
+    return _reference_sorted(_reference_pieces(m, lam), m.shape[0])
