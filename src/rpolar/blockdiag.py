@@ -56,8 +56,10 @@ class Block:
         return self.entries.shape[0]
 
     def square_residual(self) -> float:
-        b = self.entries
-        return frob_norm(b @ b - self.mu * np.eye(self.size))
+        """||B^2 - mu I||_F, evaluated on B over a power of two, which is exact."""
+        scale = _scale(self.entries)
+        b = self.entries / scale
+        return scale * (scale * frob_norm(b @ b - self.mu / scale / scale * np.eye(self.size)))
 
 
 @dataclass(frozen=True, eq=False)

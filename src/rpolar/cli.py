@@ -276,6 +276,9 @@ def cmd_blockdiag(args) -> int:
     total = 0.0
     for part in split:
         total += part
+    # the parts are non-negative, so a finite total means finite parts
+    if not math.isfinite(total):
+        raise Degenerate("Frobenius split overflows: ||X||_F^2 is not finite")
     payload = {
         "schema": SCHEMA,
         "kind": "block_decomposition",
@@ -286,9 +289,9 @@ def cmd_blockdiag(args) -> int:
                 "size": b.size,
                 "entries": _rotation_rows(b.entries),
                 "mu": b.mu,
-                "norm_sq": frob_norm_sq(b.entries),
+                "norm_sq": part,
             }
-            for b in dec.blocks
+            for b, part in zip(dec.blocks, split)
         ],
         "frobenius_split": split,
         "total_norm_sq": total,

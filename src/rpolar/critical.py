@@ -70,11 +70,7 @@ class DiagParams:
 
     @classmethod
     def from_values(cls, values) -> "DiagParams":
-        d = np.atleast_1d(np.asarray(values, dtype=float))
-        if d.ndim != 1 or d.size == 0:
-            raise DegenerateD("expected a non-empty vector of diagonal values")
-        if not np.all(np.isfinite(d)):
-            raise DegenerateD("diagonal values must be finite")
+        d = _finite_values(values)
         if np.any(d <= 0.0):
             raise DegenerateD(
                 "diagonal values must be positive; reduce signed inputs "
@@ -94,6 +90,16 @@ class DiagParams:
         p = np.zeros((self.n, self.n))
         p[self.order, np.arange(self.n)] = 1.0
         return p
+
+
+def _finite_values(values) -> np.ndarray:
+    """``values`` as a float vector, checked non-empty and finite."""
+    d = np.atleast_1d(np.asarray(values, dtype=float))
+    if d.ndim != 1 or d.size == 0:
+        raise DegenerateD("expected a non-empty vector of diagonal values")
+    if not np.all(np.isfinite(d)):
+        raise DegenerateD("diagonal values must be finite")
+    return d
 
 
 def as_diag(d) -> DiagParams:
@@ -208,6 +214,11 @@ class PartitionLabel:
         mine = [(s.indices, s.det_sign) for s in self.subsets]
         theirs = [(s.indices, s.det_sign) for s in other.subsets]
         return mine == theirs
+
+
+def _subsets_label(subsets) -> PartitionLabel:
+    """The label of (1-based indices, det) subsets, with angle signs +1."""
+    return PartitionLabel(subsets=tuple(SubsetLabel(*sub) for sub in subsets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -587,7 +598,7 @@ class _CriticalTable:
 
     def label(self, row) -> PartitionLabel:
         """The label of a row of subset codes, with angle signs +1."""
-        return PartitionLabel(subsets=tuple(SubsetLabel(*self.subsets[c]) for c in row))
+        return _subsets_label(self.subsets[c] for c in row)
 
     def subset_rotations(self, code: int) -> np.ndarray:
         """One subset's blocks of the critical rotations, angle sign +1 first.

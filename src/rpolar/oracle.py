@@ -294,6 +294,8 @@ def _integrate(r0, dv, rhs, energy_fn, step, t_end, gtol):
     energies[0] = energy_fn(r)
     if not np.isfinite(energies[0]):
         raise Degenerate("flow energy is not finite at the start")
+    # an energy of size ||D||^2 is resolved only to about eps * ||D||^2
+    allowance = 1e-9 + 8.0 * np.finfo(float).eps * (1.0 + float(dv @ dv))
     k = 0
     while k < n_steps:
         a = rhs(states[k])
@@ -301,7 +303,7 @@ def _integrate(r0, dv, rhs, energy_fn, step, t_end, gtol):
             break
         np.matmul(states[k], exp_skew_batch(step * a), out=states[k + 1])
         e = energy_fn(states[k + 1])
-        if e > energies[k] + 1e-9:
+        if e > energies[k] + allowance:
             raise StepTooLarge(
                 f"energy increased by {e - energies[k]:.3e} at t = "
                 f"{(k + 1) * step:g}; halve the step size"
@@ -322,13 +324,14 @@ def integrate_flow(r0, d, step: float, t_end: float, gtol=None) -> FlowTrajector
     Steps R_{k+1} = R_k exp(-step * A(R_k)) with the body-frame gradient
     A, which keeps iterates on SO(n) exactly.  Records W(R; D) along the
     trajectory; energies are non-increasing for a stable step size, and a
-    per-step increase beyond 1e-9 raises.  With ``gtol`` set, integration
-    stops early once ||A|| drops below it.
+    per-step increase beyond 1e-9 + 8 eps (1 + ||D||^2), the energy's
+    rounding level, raises.  With ``gtol`` set, integration stops early
+    once ||A|| drops below it.
 
     Raises
     ------
     StepTooLarge
-        If a step increases the energy by more than 1e-9.
+        If a step increases the energy by more than 1e-9 + 8 eps (1 + ||D||^2).
     TooLarge
         If the (t_end / step + 1) states would hold more than
         ``MAX_OUTPUT_ENTRIES`` entries; checked before the first step.
@@ -350,7 +353,8 @@ def biot_flow(r0, d, step: float, t_end: float, gtol=None) -> FlowTrajectory:
 
     Descends V(R) = ||R D - I||^2 / 2, whose unique minimizer is the
     identity; trajectories from starts near the identity converge to it.
-    Recorded energies are V(R).
+    Recorded energies are V(R); as for ``integrate_flow``, a per-step
+    increase beyond 1e-9 + 8 eps (1 + ||D||^2) raises ``StepTooLarge``.
     """
     dv = _diag_values(d)
 

@@ -35,8 +35,10 @@ from .critical import (
     PartitionLabel,
     RotationFamily,
     SubsetLabel,
+    _finite_values,
     _label_value,
     _pair_signs,
+    _subsets_label,
     as_diag,
     critical_value,
 )
@@ -79,7 +81,7 @@ class MinimizerSet:
 
     @cached_property
     def label(self) -> PartitionLabel:
-        return PartitionLabel(subsets=tuple(SubsetLabel(*sub) for sub in self._subsets))
+        return _subsets_label(self._subsets)
 
 
 @dataclass(frozen=True)
@@ -127,23 +129,19 @@ def optimal_k(d) -> int:
     return k
 
 
-def _build_label(pairs, singles) -> PartitionLabel:
-    subs = [SubsetLabel(indices=tuple(p), det_sign=1) for p in pairs]
-    subs += [SubsetLabel(indices=(i,), det_sign=1) for i in singles]
-    return PartitionLabel(subsets=tuple(subs))
+def _rank_subsets(pairs, order) -> tuple:
+    """(1-based user indices, det +1) subsets of 0-based rank pairs, in label order.
 
-
-def _tie_flags(params: DiagParams, k: int) -> list[str]:
-    # A tie produces a continuous minimizer family only when it crosses an
-    # even cut inside the leading pair region: swapping the tied entries
-    # then connects distinct optimal blocks.  Ties strictly inside a pair
-    # or entirely within the trailing singleton region keep the 2^k
-    # minimizers isolated (the identity block is unique regardless).
-    sd = params.sorted_d
-    for j in range(2, 2 * k + 1, 2):
-        if j < params.n and sd[j - 1] == sd[j]:
-            return ["non_isolated"]
-    return []
+    ``order`` maps ranks to 0-based user indices; a rank in no pair is a
+    singleton.
+    """
+    partner = list(range(len(order)))
+    for a, b in pairs:
+        i, j = order[a], order[b]
+        partner[i], partner[j] = j, i
+    return tuple(
+        [((i + 1,) if i == j else (i + 1, j + 1), 1) for i, j in enumerate(partner) if i <= j]
+    )
 
 
 def _minimize(params: DiagParams, left=None, right=None) -> MinimizerSet:
@@ -158,28 +156,28 @@ def _minimize(params: DiagParams, left=None, right=None) -> MinimizerSet:
     if 2 * k + 1 < len(sd) and abs(sd[2 * k] + sd[2 * k + 1] - 2.0) <= BOUNDARY_TOL:
         flags.append("boundary_case")
 
-    tie_flags = _tie_flags(params, k)
-    if tie_flags:
+    # A tie produces a continuous minimizer family only when it crosses an
+    # even cut inside the leading pair region: swapping the tied entries
+    # then connects distinct optimal blocks.  Ties strictly inside a pair
+    # or entirely within the trailing singleton region keep the 2^k
+    # minimizers isolated (the identity block is unique regardless).
+    if any(sd[j - 1] == sd[j] for j in range(2, min(2 * k + 1, len(sd)), 2)):
         warnings.warn(
             "tied diagonal entries: global minimizers form a continuous "
             "family; returning representatives",
             TiesNotStrictWarning,
             stacklevel=3,
         )
-    flags.extend(tie_flags)
+        flags.append("non_isolated")
 
-    # the optimal label: its pairs in rank order, each written larger value
+    # the optimal label: the k leading rank pairs, each written larger value
     # first, and every subset with det +1
     order = params.order.tolist()
     dv = params.d.tolist()
-    pairs = [(order[2 * p], order[2 * p + 1], 1) for p in range(k)]
+    leading = [(2 * p, 2 * p + 1) for p in range(k)]
+    pairs = [(order[a], order[b], 1) for a, b in leading]
     rotations = RotationFamily([1.0] * len(dv), pairs, dv, left, right)
-    partner = list(range(len(dv)))
-    for i, j, _ in pairs:
-        partner[i], partner[j] = j, i
-    subsets = tuple(
-        [((i + 1,) if i == j else (i + 1, j + 1), 1) for i, j in enumerate(partner) if i <= j]
-    )
+    subsets = _rank_subsets(leading, order)
     return MinimizerSet(
         k=k,
         rotations=rotations,
@@ -243,25 +241,6 @@ def rpolar_classical(f, mu: float, mu_c: float) -> np.ndarray:
 # -- minimizing scheme -------------------------------------------------------
 
 
-def _relabel(label: PartitionLabel, index_of) -> PartitionLabel:
-    """``label`` with each 1-based index i renamed index_of[i - 1] + 1."""
-    rename = [int(u) + 1 for u in index_of]
-    return PartitionLabel(
-        subsets=tuple(
-            SubsetLabel(tuple(rename[i - 1] for i in s.indices), s.det_sign, s.angle_sign)
-            for s in label.subsets
-        )
-    )
-
-
-def _flip_positive(label: PartitionLabel) -> PartitionLabel:
-    # One composite transformation: the all-positive target always has
-    # parity +1, so no intermediate parity bookkeeping is needed.
-    return PartitionLabel(
-        subsets=tuple(SubsetLabel(s.indices, 1, s.angle_sign) for s in label.subsets)
-    )
-
-
 def _overlapping(pairs: list[tuple[int, int]]):
     for a in range(len(pairs)):
         for b in range(a + 1, len(pairs)):
@@ -272,32 +251,20 @@ def _overlapping(pairs: list[tuple[int, int]]):
     return None
 
 
-def _disentangle(label: PartitionLabel, sd: np.ndarray) -> PartitionLabel:
-    # Replace each interleaving or nested pair of blocks by the sorted
-    # pairing {p1,p2}, {p3,p4}; the second block degenerates to singletons
-    # when it admits no block.  Every rewrite strictly lowers the
-    # critical value, so the loop terminates.
-    pairs = [s.indices for s in label.pairs()]
-    singles = [s.indices[0] for s in label.subsets if s.size == 1]
-    while True:
-        clash = _overlapping(pairs)
-        if clash is None:
-            break
+def _disentangle(pairs: list[tuple[int, int]], sd: np.ndarray) -> list[tuple[int, int]]:
+    # Replace each interleaving or nested pair of blocks (0-based ranks) by
+    # the sorted pairing {p1,p2}, {p3,p4}; the second block degenerates to
+    # singletons when it admits no block.  Every rewrite strictly lowers
+    # the critical value, so the loop terminates.  Rewrites ``pairs``.
+    while (clash := _overlapping(pairs)) is not None:
         lo, hi = clash
         pairs.remove(lo)
         pairs.remove(hi)
         p1, p2, p3, p4 = sorted(lo + hi)
         pairs.append((p1, p2))
-        if _pair_signs(sd[p3 - 1], sd[p4 - 1]):
+        if _pair_signs(sd[p3], sd[p4]):
             pairs.append((p3, p4))
-        else:
-            singles.extend([p3, p4])
-    return _build_label(pairs, singles)
-
-
-def _leading_pairs(k: int, n: int) -> PartitionLabel:
-    pairs = [(2 * i + 1, 2 * i + 2) for i in range(k)]
-    return _build_label(pairs, range(2 * k + 1, n + 1))
+    return pairs
 
 
 def scheme_minimize(start: PartitionLabel, d) -> SchemeTrace:
@@ -319,38 +286,39 @@ def scheme_minimize(start: PartitionLabel, d) -> SchemeTrace:
         If a pair of the start label admits no block at all.
     """
     params = as_diag(d)
-    critical_value(start, params)
-    sd = params.sorted_d
-
-    # params.order maps sorted ranks to user indices, its inverse back
-    current = _relabel(start, np.argsort(params.order))
-
-    steps = []
-    for name, transform in (
-        ("sign-flip", _flip_positive),
-        ("disentangle", lambda lab: _disentangle(lab, sd)),
-        # Move the (non-overlapping) blocks to the leading rank positions
-        # {1,2}, {3,4}, ...; sums only grow, so feasibility and monotonicity
-        # are preserved.
-        ("shift", lambda lab: _leading_pairs(len(lab.pairs()), lab.n)),
-        # After the shift every block sits at a leading position and admits a
-        # block, so joining singletons continues the leading run to optimal_k.
-        ("exhaust", lambda lab: _leading_pairs(optimal_k(sd), lab.n)),
-    ):
-        after = transform(current)
-        before_user = _relabel(current, params.order)
-        after_user = _relabel(after, params.order)
-        steps.append(
-            SchemeStep(
-                name=name,
-                label_before=before_user,
-                label_after=after_user,
-                value_before=critical_value(before_user, params),
-                value_after=critical_value(after_user, params),
-            )
+    values = [critical_value(start, params)]
+    # One composite sign flip: the all-positive target always has parity
+    # +1, so no intermediate parity bookkeeping is needed.
+    labels = [
+        start,
+        PartitionLabel(
+            subsets=tuple(SubsetLabel(s.indices, 1, s.angle_sign) for s in start.subsets)
+        ),
+    ]
+    # the start's pairs in 0-based ranks (params.order maps ranks to user
+    # indices, its inverse back), ordered by smaller rank
+    rank = np.argsort(params.order).tolist()
+    untangled = _disentangle(
+        sorted(tuple(sorted(rank[i - 1] for i in s.indices)) for s in start.pairs()),
+        params.sorted_d,
+    )
+    # Shift moves the (non-overlapping) blocks to the leading rank pairs
+    # (0, 1), (2, 3), ...; sums only grow, so feasibility and monotonicity
+    # are preserved.  Then every block sits at a leading position and
+    # admits a block, so exhaust, joining singletons, continues the leading
+    # run to optimal_k.
+    order = params.order.tolist()
+    leading = [(2 * p, 2 * p + 1) for p in range(params.n // 2)]
+    for pairs in (untangled, leading[: len(untangled)], leading[: optimal_k(params)]):
+        labels.append(_subsets_label(_rank_subsets(pairs, order)))
+    values += [critical_value(label, params) for label in labels[1:]]
+    names = ("sign-flip", "disentangle", "shift", "exhaust")
+    return SchemeTrace(
+        steps=tuple(
+            SchemeStep(name, labels[i], labels[i + 1], values[i], values[i + 1])
+            for i, name in enumerate(names)
         )
-        current = after
-    return SchemeTrace(steps=tuple(steps))
+    )
 
 
 # -- sign reflection ---------------------------------------------------------
@@ -390,11 +358,7 @@ def reflect_negative(d_signed) -> ReflectionInfo:
     DegenerateD
         If an entry is not finite, vanishes or two entries cancel.
     """
-    dv = np.atleast_1d(np.asarray(d_signed, dtype=float))
-    if dv.ndim != 1 or dv.size == 0:
-        raise DegenerateD("expected a non-empty vector of diagonal values")
-    if not np.all(np.isfinite(dv)):
-        raise DegenerateD("diagonal values must be finite")
+    dv = _finite_values(d_signed)
     scale = float(np.max(np.abs(dv)))
     if scale == 0.0 or np.any(np.abs(dv) <= RANK_TOL * scale):
         raise DegenerateD("diagonal entries must be nonzero")

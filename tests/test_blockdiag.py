@@ -320,6 +320,24 @@ class TestBlockDiagonalize:
         for p, q in zip(a.blocks, b.blocks):
             np.testing.assert_array_equal(c * p.entries, q.entries)
 
+    @pytest.mark.filterwarnings("error")
+    def test_square_residual_of_large_entries_is_finite(self):
+        # entries near 1e152: b b - mu I is about 1e288, its square overflows
+        t = rp.random_rotation(2, 0)
+        dec = rp.block_diagonalize(t @ np.diag([1e152, 3e151]) @ t.T)
+        for blk in dec.blocks:
+            assert np.isfinite(blk.square_residual())
+            assert blk.square_residual() <= 1e-8 * blk.mu
+
+    def test_square_residual_unchanged_on_ordinary_blocks(self):
+        # the power-of-two scaling is exact, so the bits equal the direct formula
+        for seed in range(20):
+            x, _ = random_symmetric_square(np.random.default_rng(seed), 2 + seed % 7)
+            for blk in rp.block_diagonalize(x).blocks:
+                b = blk.entries
+                direct = rp.frob_norm(b @ b - blk.mu * np.eye(blk.size))
+                assert blk.square_residual() == direct
+
 
 def assert_matches_reference(dec, reference, x):
     """Same block sizes, mu values and order; basis and entries within

@@ -104,6 +104,36 @@ class TestRpolarCmd:
         code, _, _ = run(capsys, "rpolar", "diag", "4,x,1")
         assert code == EXIT_PARSE
 
+    def test_text_format(self, capsys):
+        code, out, _ = run(capsys, "rpolar", "diag", "4,2,1,0.5,0.25", "--format", "text")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0] == "k = 1"
+        assert lines[1] == "reduced_energy = 2.8125"
+        assert lines[4] == "minimizers = 2"
+        # then the two 5x5 minimizers, printed to 12 digits
+        matrices = "\n".join(lines[5:])
+        assert matrices.count("[[") == 2
+        entries = np.array(matrices.replace("[", " ").replace("]", " ").split(), dtype=float)
+        expected = np.stack(list(rp.rpolar_diag([4, 2, 1, 0.5, 0.25]).rotations))
+        np.testing.assert_allclose(entries.reshape(2, 5, 5), expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (("rpolar", "diag", " , "), None),
+            (("rpolar", "full", "FILE"), "1 2\n3\n"),
+            (("rpolar", "full", "FILE"), "1 x\n3 4\n"),
+        ],
+    )
+    def test_parse_errors_print_one_line(self, capsys, tmp_path, argv, content):
+        path = tmp_path / "f.txt"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "mode, values, k",
         [
@@ -353,6 +383,15 @@ class TestBlockdiagCmd:
         code, out, err = run(capsys, "blockdiag", str(path))
         assert (code, out) == (EXIT_DEGENERATE, "")
         assert err.splitlines() == ["error: matrix square overflows"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_norm_overflow(self, capsys, tmp_path):
+        # a finite square, but ||X||_F^2 = 2 * 1.69e308 is not: no Infinity in the JSON
+        path = tmp_path / "wide.txt"
+        path.write_text("0 1.3e154\n1.3e154 0\n")
+        code, out, err = run(capsys, "blockdiag", str(path))
+        assert (code, out) == (EXIT_DEGENERATE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVerifyCmd:

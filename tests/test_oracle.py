@@ -308,6 +308,32 @@ class TestBiotFlow:
         assert np.all(np.diff(traj.energies) <= 1e-9)
 
 
+class TestEnergyAllowance:
+    """The per-step energy check scales with the energy's rounding level."""
+
+    # a skew matrix of norm 1e-6: starts 1e-6 from a minimizer or the identity
+    NEAR = rp.skew(np.arange(9.0).reshape(3, 3)) * 1e-6 / np.sqrt(12.0)
+
+    @pytest.mark.parametrize("big", [1e4, 1e5, 1e6])
+    def test_large_d_stable_step_accepted(self, big):
+        # ||D||^2 up to 1e12: rounding alone moves these energies by more than 1e-9
+        d = np.array([big, 1.0, 0.5])
+        step = 0.5 / float(d @ d)
+        r0 = rp.rpolar_diag(d).rotations[0] @ rp.exp_skew(self.NEAR)
+        traj = rp.integrate_flow(r0, d, step=step, t_end=50 * step)
+        assert len(traj.times) == 51
+        traj = rp.biot_flow(rp.exp_skew(self.NEAR), d, step=step, t_end=50 * step)
+        assert len(traj.times) == 51
+
+    @pytest.mark.parametrize("big", [3.0, 1e2, 1e4, 1e5])
+    def test_large_d_unstable_step_raises(self, big):
+        d = np.array([big, 1.0, 0.5])
+        step = 10.0 / float(d @ d)
+        r0 = rp.rpolar_diag(d).rotations[0] @ rp.exp_skew(self.NEAR)
+        with pytest.raises(StepTooLarge):
+            rp.integrate_flow(r0, d, step=step, t_end=200 * step)
+
+
 @pytest.mark.parametrize("flow", [rp.integrate_flow, rp.biot_flow])
 class TestFlowValidation:
     def test_dimension_mismatch(self, flow):

@@ -377,6 +377,27 @@ class TestScheme:
         with pytest.raises(InfeasibleLabel):
             rp.scheme_minimize(label_of(((1, 2), 1)), [0.9, 0.8])
 
+    def test_wrong_size_start_rejected(self):
+        with pytest.raises(InfeasibleLabel):
+            rp.scheme_minimize(label_of(((1, 3), -1), ((2,), 1)), [3.0, 2.0])
+
+    def test_sign_flip_keeps_angle_signs_and_steps_chain(self):
+        d = [1.9, 4.0, 2.0, 0.25, 0.5]
+        start = PartitionLabel(
+            subsets=(SubsetLabel((2, 3), -1, -1), SubsetLabel((1, 5), 1, -1), SubsetLabel((4,), -1))
+        )
+        trace = rp.scheme_minimize(start, d)
+        flip = trace.steps[0]
+        assert flip.label_before == start
+        assert [(s.indices, s.det_sign, s.angle_sign) for s in flip.label_after.subsets] == [
+            ((1, 5), 1, -1),
+            ((2, 3), 1, -1),
+            ((4,), 1, 1),
+        ]
+        for before, after in zip(trace.steps, trace.steps[1:]):
+            assert after.label_before == before.label_after
+            assert after.value_before == before.value_after
+
 
 class TestReflectNegative:
     def test_positive_passthrough(self):
