@@ -6,9 +6,10 @@ inputs and seeds produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure or other invalid argument,
 2 parse failure, 3 degenerate, reflective or non-finite input, 4 dimension
-over the enumeration or multistart guard, or minimizers, flow states or
-multistart work arrays over ``MAX_OUTPUT_ENTRIES`` entries, 5 not a
-symmetric square, 6 infeasible label.
+over the enumeration guard (``--max-n``) or the multistart guard of
+``verify`` (n <= 16), or minimizers, flow states or multistart work arrays
+over ``MAX_OUTPUT_ENTRIES`` entries, 5 not a symmetric square, 6
+infeasible label.
 Every error prints one ``error:`` line to stderr.
 """
 

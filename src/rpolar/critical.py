@@ -22,6 +22,8 @@ import functools
 import itertools
 import math
 import operator
+import sys
+import threading
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -369,24 +371,36 @@ def _check_realizable(label: PartitionLabel, params: DiagParams) -> None:
             )
 
 
-def _write_pair(r, i, j, di, dj, det: int) -> None:
-    """Write the 2x2 critical block of the pair (i, j) (0-based) into r.
+# Per thread, the two flat buffers that iteration builds chunks into, kept
+# across calls so that streaming a family does not fault in fresh pages.
+_chunk_buffers = threading.local()
 
-    cos a = 2 / (d_i + det d_j); the block is a rotation for det +1 and a
-    reflection for det -1, written with angle sign +1 (sin a > 0).
-    """
-    c = 2.0 / (di + det * dj)
-    s = math.sqrt(max(0.0, 1.0 - c * c))
-    r[i, i], r[i, j], r[j, i], r[j, j] = c, -det * s, s, det * c
+
+def _chunk_buffer(size: int) -> np.ndarray:
+    """``size`` floats in one of this thread's two chunk buffers, if one of
+    them has no live view, else in fresh memory."""
+    pool = getattr(_chunk_buffers, "pool", None)
+    if pool is None:
+        pool = _chunk_buffers.pool = [np.empty(0), np.empty(0)]
+    for slot in range(len(pool)):
+        # every view of a buffer holds a reference to it, so a count of 2
+        # (the list and the argument) means that none is alive
+        if sys.getrefcount(pool[slot]) == 2:
+            if pool[slot].size < size:
+                pool[slot] = np.empty(max(size, CHUNK_BYTES // 8))
+            return pool[slot][:size]
+    return np.empty(size)
 
 
 class RotationFamily(Sequence):
     """The 2^m critical rotations of one labeled partition, built on demand.
 
     B_0 has the given diagonal, over which each of the m pairs (i, j, det)
-    has its 2x2 block written by ``_write_pair`` at rows and columns
-    (i, j), in that order: cos a at (i, i), -det sin a at (i, j) and sin a
-    at (j, i), so the angle sign refers to the block written i first.
+    has its 2x2 critical block, cos a = 2 / (d_i + det d_j), at rows and
+    columns (i, j), in that order: cos a at (i, i), -det sin a at (i, j),
+    sin a at (j, i) and det cos a at (j, j), with sin a > 0, so the angle
+    sign refers to the block written i first.  The block is a rotation
+    for det +1 and a reflection for det -1.
     Rotation v is L B_v R^T, where B_v is B_0 with the angle sign of pair
     p negated (its two off-diagonal entries flipped) where bit m-1-p of v
     is set: the first pair varies slowest and takes +1 first.  Without a
@@ -395,11 +409,15 @@ class RotationFamily(Sequence):
     rank-2m update of one fixed matrix, through the 2m paired columns of
     V and W.
 
-    Indexing builds one matrix in O(n^2 m) time and O(n^2) memory;
-    iteration builds chunks of about ``CHUNK_BYTES`` with one batched call
-    each and yields views into them.  ``len`` is 2^m, which, as for
-    ``range``, the builtin ``len()`` can report only up to ``sys.maxsize``
-    (m <= 62); indexing works for any m.  ``cosines`` holds cos a per pair.
+    Indexing builds one matrix in O(n^2 m) time and O(n^2) memory, and
+    ``_chunk`` a fresh batch.  Iteration builds chunks of about
+    ``CHUNK_BYTES`` with one batched call each and yields views into them.
+    The chunk memory is reused only once no view of it is alive: a thread
+    keeps at most two chunk buffers across calls and builds a chunk into
+    one that no view holds, else into fresh memory, so a kept view never
+    changes.  ``len`` is 2^m, which, as for ``range``, the builtin
+    ``len()`` can report only up to ``sys.maxsize`` (m <= 62); indexing
+    works for any m.  ``cosines`` holds cos a per pair.
     """
 
     def __init__(self, diagonal, pairs, dv, left=None, right=None):
@@ -412,30 +430,37 @@ class RotationFamily(Sequence):
         self.m = len(pairs)
         self._n = len(dv)
         self._count = 2**self.m
-        base = np.zeros((self._n, self._n))
-        np.fill_diagonal(base, diagonal)
+        # B_0's diagonal and, per pair, its entries at (i, j) and (j, i)
+        diagonal = list(diagonal)
+        upper, lower = [], []
         for i, j, det in pairs:
-            _write_pair(base, i, j, dv[i], dv[j], det)
-        self.cosines = tuple([base.item(i, i) for i, _, _ in pairs])
+            c = 2.0 / (dv[i] + det * dv[j])
+            s = math.sqrt(max(0.0, 1.0 - c * c))
+            diagonal[i], diagonal[j] = c, det * c
+            upper.append(-det * s)
+            lower.append(s)
+        self.cosines = tuple([float(diagonal[i]) for i, _, _ in pairs])
+        diagonal = np.array(diagonal, dtype=float)
         paired = np.array([index for i, j, _ in pairs for index in (i, j)], np.intp)
         if left is None:
+            i, j = paired[0::2], paired[1::2]
+            self._off = (np.concatenate([i, j]), np.concatenate([j, i]))
+            self._off_values = np.array(upper + lower, dtype=float)
             if right is not None:
                 # B_0 J flips column signs; + 0.0 turns the -0.0 of a flipped
                 # zero into the +0.0 that the product B_0 @ J gives
-                base = base * right + 0.0
-            self._base = base
-            i, j = paired[0::2], paired[1::2]
-            self._off = (np.concatenate([i, j]), np.concatenate([j, i]))
-            self._off_values = base[self._off]
+                diagonal = diagonal * right + 0.0
+                self._off_values = self._off_values * right[self._off[1]] + 0.0
+            self._diagonal = diagonal
             self._frames = None
         else:
             # V B_v W^T = V C W^T + V_P diag(sigma_v) O_P W^T, where C is the
             # diagonal of B_0, O its off-diagonal part (one entry in each
             # paired row) and sigma_v the signs
-            self._base = (left * base.diagonal()) @ right.T
+            self._base = (left * diagonal) @ right.T
             off_rows = np.zeros((paired.size, self._n))
             for p, (i, j, _) in enumerate(pairs):
-                off_rows[2 * p, j], off_rows[2 * p + 1, i] = base[i, j], base[j, i]
+                off_rows[2 * p, j], off_rows[2 * p + 1, i] = upper[p], lower[p]
             self._frames = (left.take(paired, axis=1), off_rows @ right.T)
 
     def __len__(self) -> int:
@@ -450,38 +475,51 @@ class RotationFamily(Sequence):
         if not 0 <= v < self._count:
             raise IndexError(f"rotation index {index} out of range for 2^{self.m}")
         bits = [(v >> (self.m - 1 - p)) & 1 for p in range(self.m)]
-        return self._build(np.array(bits, dtype=np.int64).reshape(1, self.m))[0]
+        out = np.empty((1, self._n, self._n))
+        return self._build(np.array(bits, dtype=np.int64).reshape(1, self.m), out)[0]
 
     def __iter__(self):
-        step = max(1, CHUNK_BYTES // (8 * self._n * self._n))
+        n = self._n
+        step = max(1, CHUNK_BYTES // (8 * n * n))
         for start in range(0, self._count, step):
-            yield from self._chunk(start, min(start + step, self._count))
+            bits = self._bits(start, min(start + step, self._count))
+            out = _chunk_buffer(len(bits) * n * n).reshape(-1, n, n)
+            yield from self._build(bits, out)
+            # only views the caller still holds keep the buffer in use
+            del out
 
-    def _chunk(self, start: int, stop: int) -> np.ndarray:
-        """Rotations start, ..., stop - 1, shape (stop - start, n, n)."""
+    def _bits(self, start: int, stop: int) -> np.ndarray:
+        """Sign bits of rotations start, ..., stop - 1, shape (stop - start, m)."""
         v = np.arange(start, stop, dtype=np.int64)
         # shifts past 63 select bits that are zero for every int64 index
         shifts = np.minimum(self.m - 1 - np.arange(self.m), 63)
-        return self._build((v[:, None] >> shifts) & 1)
+        return (v[:, None] >> shifts) & 1
 
-    def _build(self, bits: np.ndarray) -> np.ndarray:
-        """Rotations for a (batch, m) array of sign bits, shape (batch, n, n)."""
+    def _chunk(self, start: int, stop: int) -> np.ndarray:
+        """Rotations start, ..., stop - 1 in fresh memory, shape (stop - start, n, n)."""
+        out = np.empty((stop - start, self._n, self._n))
+        return self._build(self._bits(start, stop), out)
+
+    def _build(self, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the rotations of a (batch, m) array of sign bits into ``out``,
+        a C-contiguous (batch, n, n) array, and return it."""
         sigma = 1.0 - 2.0 * bits
         if self._frames is None:
-            out = np.repeat(self._base[None], bits.shape[0], axis=0)
+            out.fill(0.0)
+            out.reshape(len(out), -1)[:, :: self._n + 1] = self._diagonal
             out[:, self._off[0], self._off[1]] = (
                 np.concatenate([sigma, sigma], axis=1) * self._off_values
             )
             return out
         left_p, off_rows = self._frames
-        out = (left_p * np.repeat(sigma, 2, axis=1)[:, None, :]) @ off_rows
+        np.matmul(left_p * np.repeat(sigma, 2, axis=1)[:, None, :], off_rows, out=out)
         out += self._base
         return out
 
 
 def _family(subsets, dv: np.ndarray) -> RotationFamily:
     """The rotation family of checked (indices, det) subsets in label order."""
-    diagonal = np.zeros(dv.size)
+    diagonal = [0.0] * dv.size
     pairs = []
     for indices, det in subsets:
         if len(indices) == 1:

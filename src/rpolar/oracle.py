@@ -246,14 +246,14 @@ def brute_force_min(d, n_starts: int = 200, seed: int = 0) -> DescentReport:
     Raises
     ------
     TooLarge
-        If n > 8, or if the starts' rotations and Jacobians, n_starts *
+        If n > 16, or if the starts' rotations and Jacobians, n_starts *
         (n^2 + p^2) entries with p = n(n-1)/2, exceed
         ``MAX_OUTPUT_ENTRIES``; checked before any start is drawn.
     """
     dv = _diag_values(d)
     n = dv.size
-    if n > 8:
-        raise TooLarge(f"n = {n} exceeds the multistart guard n <= 8")
+    if n > 16:
+        raise TooLarge(f"n = {n} exceeds the multistart guard n <= 16")
     if n == 0 or n_starts < 1:
         raise RpolarError("need at least one diagonal value and one start")
     p = n * (n - 1) // 2

@@ -36,7 +36,6 @@ from .critical import (
     RotationFamily,
     SubsetLabel,
     _finite_values,
-    _label_value,
     _pair_signs,
     _subsets_label,
     as_diag,
@@ -53,14 +52,16 @@ class MinimizerSet:
     ``rotations`` is the lazy, read-only ``critical.RotationFamily`` of
     the optimal label (matrices in user index order, in the family's bit
     order): ``rotations[m]`` builds one minimizer, iteration builds them
-    in chunks, and ``np.stack(list(ms.rotations))`` materializes them
-    all.  Its pairs come in rank order, pair p holding the entries of
-    sorted ranks 2p+1 and 2p+2, each written larger value first, so an
-    angle sign refers to that block.  ``realize(ms.label, d)`` gives the
-    same set, but orders the pairs by their smaller index and writes each
-    smaller index first.  For unsorted d the two orders can differ, and a
-    pair whose larger value sits at the larger index has its angle sign
-    negated: for d = [1.5, 2], ``rotations[0]`` is realize's -1 point.
+    in chunks and yields views into chunk memory that is reused only once
+    no view of it is alive (a thread keeps at most two chunk buffers), and
+    ``np.stack(list(ms.rotations))`` materializes them all.  Its pairs
+    come in rank order, pair p holding the entries of sorted ranks 2p+1
+    and 2p+2, each written larger value first, so an angle sign refers to
+    that block.  ``realize(ms.label, d)`` gives the same set, but orders
+    the pairs by their smaller index and writes each smaller index first.
+    For unsorted d the two orders can differ, and a pair whose larger
+    value sits at the larger index has its angle sign negated: for
+    d = [1.5, 2], ``rotations[0]`` is realize's -1 point.
 
     ``cos_alphas`` holds the per-pair rotation cosines in rank order,
     ``reduced_energy`` is ``critical_value(label, d)`` bitwise, and
@@ -77,11 +78,11 @@ class MinimizerSet:
     reduced_energy: float
     cos_alphas: tuple[float, ...]
     flags: tuple[str, ...]
-    _subsets: tuple = field(repr=False)
+    _partner: list = field(repr=False)
 
     @cached_property
     def label(self) -> PartitionLabel:
-        return _subsets_label(self._subsets)
+        return _partner_label(self._partner)
 
 
 @dataclass(frozen=True)
@@ -129,19 +130,36 @@ def optimal_k(d) -> int:
     return k
 
 
-def _rank_subsets(pairs, order) -> tuple:
-    """(1-based user indices, det +1) subsets of 0-based rank pairs, in label order.
+def _partners(pairs, order) -> list[int]:
+    """The partner of each 0-based user index under 0-based rank pairs.
 
-    ``order`` maps ranks to 0-based user indices; a rank in no pair is a
-    singleton.
+    ``order`` maps ranks to 0-based user indices; an index in no pair is
+    its own partner.
     """
     partner = list(range(len(order)))
     for a, b in pairs:
         i, j = order[a], order[b]
         partner[i], partner[j] = j, i
-    return tuple(
-        [((i + 1,) if i == j else (i + 1, j + 1), 1) for i, j in enumerate(partner) if i <= j]
+    return partner
+
+
+def _partner_label(partner) -> PartitionLabel:
+    """The label of a partner list, every subset with det +1."""
+    return _subsets_label(
+        ((i + 1,) if i == j else (i + 1, j + 1), 1) for i, j in enumerate(partner) if i <= j
     )
+
+
+def _partner_value(partner, dv) -> float:
+    """``_label_value`` of a partner list's label: the same terms, added in
+    the same (label) order, so that the two agree bitwise."""
+    total = 0.0
+    for i, j in enumerate(partner):
+        if i == j:
+            total += (dv[i] - 1) ** 2
+        elif i < j:
+            total += 0.5 * (dv[i] - dv[j]) ** 2
+    return float(total)
 
 
 def _minimize(params: DiagParams, left=None, right=None) -> MinimizerSet:
@@ -177,14 +195,14 @@ def _minimize(params: DiagParams, left=None, right=None) -> MinimizerSet:
     leading = [(2 * p, 2 * p + 1) for p in range(k)]
     pairs = [(order[a], order[b], 1) for a, b in leading]
     rotations = RotationFamily([1.0] * len(dv), pairs, dv, left, right)
-    subsets = _rank_subsets(leading, order)
+    partner = _partners(leading, order)
     return MinimizerSet(
         k=k,
         rotations=rotations,
-        reduced_energy=_label_value(subsets, dv),
+        reduced_energy=_partner_value(partner, dv),
         cos_alphas=rotations.cosines,
         flags=tuple(flags),
-        _subsets=subsets,
+        _partner=partner,
     )
 
 
@@ -310,7 +328,7 @@ def scheme_minimize(start: PartitionLabel, d) -> SchemeTrace:
     order = params.order.tolist()
     leading = [(2 * p, 2 * p + 1) for p in range(params.n // 2)]
     for pairs in (untangled, leading[: len(untangled)], leading[: optimal_k(params)]):
-        labels.append(_subsets_label(_rank_subsets(pairs, order)))
+        labels.append(_partner_label(_partners(pairs, order)))
     values += [critical_value(label, params) for label in labels[1:]]
     names = ("sign-flip", "disentangle", "shift", "exhaust")
     return SchemeTrace(

@@ -486,7 +486,7 @@ class TestErrorContract:
         "argv, expected",
         [
             (("rpolar", "full", "NAN_FILE"), EXIT_DEGENERATE),
-            (("verify", "--batch", "1", "--n", "9"), EXIT_TOO_LARGE),
+            (("verify", "--batch", "1", "--n", "17"), EXIT_TOO_LARGE),
             (("flow", "4,2,1", "--step", "0"), EXIT_FAIL),
             # k = 63: 2^63 minimizers, refused before any output
             (

@@ -228,7 +228,12 @@ class TestBruteForce:
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            rp.brute_force_min(np.linspace(3, 1, 9))
+            rp.brute_force_min(np.linspace(3, 1, 17))
+        # above n = 8 the descent still converges to the closed form
+        d = np.linspace(3.0, 0.4, 10)
+        rep = rp.brute_force_min(d, n_starts=10, seed=1)
+        assert rep.n_converged == 10
+        assert rep.best_value == pytest.approx(rp.rpolar_diag(d).reduced_energy, abs=1e-9)
 
     @pytest.mark.parametrize("d, n_starts", [([], 10), ([2.0, 1.0], 0), ([2.0, 1.0], -5)])
     def test_nothing_to_search_rejected(self, d, n_starts):

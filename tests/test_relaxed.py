@@ -237,6 +237,17 @@ class TestOneValue:
             ms = rp.rpolar_full(f)
             assert ms.reduced_energy == rp.critical_value(ms.label, np.linalg.svd(f)[1])
 
+    @pytest.mark.filterwarnings("ignore::rpolar.errors.TiesNotStrictWarning")
+    def test_diag_ties_and_boundary(self):
+        rng = np.random.default_rng(165)
+        edge = [1.0, 1.0 + 5e-10, 1.0 - 5e-10]
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            pool = np.concatenate([rng.uniform(0.1, 3.0, int(rng.integers(1, 5))), edge])
+            d = rng.choice(pool, n)
+            ms = rp.rpolar_diag(d)
+            assert ms.reduced_energy == rp.critical_value(ms.label, d)
+
     def test_scheme_final_value_unsorted(self):
         rng = np.random.default_rng(164)
         for _ in range(150):
@@ -566,3 +577,112 @@ class TestLazyRotations:
                 assert _full_stationarity(r, f) <= 1e-9 * scale
         # minimizer 2^99 flips only the first pair's angle sign: a rank-2 change
         assert np.linalg.matrix_rank(picked[2] - picked[0]) == 2
+
+
+def _streamed_sets(rng, n=40, k=9):
+    """Minimizer sets of the identity, reflection and SVD frames, whose
+    iteration takes several chunks, the last one partial."""
+    from rpolar.critical import CHUNK_BYTES
+
+    step = CHUNK_BYTES // (8 * n * n)
+    assert 2 * step < 2**k and 2**k % step  # several chunks, the last one partial
+    d = _spectrum(rng, n, k)
+    signs = np.ones(n)
+    signs[rng.choice(n, size=4, replace=False)] = -1.0
+    reflected = rp.rpolar_signed_diag(signs * rng.permutation(d))
+    assert "reflected" in reflected.flags
+    return [rp.rpolar_diag(rng.permutation(d)), reflected, rp.rpolar_full(_full_matrix(rng, d))]
+
+
+def _data_addresses(rotations):
+    """Where each streamed rotation starts in memory; keeps no view alive."""
+    return [r.__array_interface__["data"][0] for r in rotations]
+
+
+class TestStreamedIteration:
+    """Iteration yields views into chunk memory that is reused only once no
+    view of it is alive, so whatever a caller keeps never changes."""
+
+    def test_repeated_lists_are_equal_and_share_no_memory(self):
+        for ms in _streamed_sets(np.random.default_rng(31)):
+            lists = [list(ms.rotations) for _ in range(3)]
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                for r, s in zip(lists[a], lists[b]):
+                    assert r.tobytes() == s.tobytes()
+                    assert not np.shares_memory(r, s)
+
+    def test_kept_view_is_unchanged(self):
+        sets = _streamed_sets(np.random.default_rng(32))
+        for ms in sets:
+            it = iter(ms.rotations)
+            kept = next(it)
+            expected = ms.rotations[0].tobytes()
+            for _ in it:
+                pass
+            assert kept.tobytes() == expected
+            # second full passes over every set, this one included
+            for other in sets:
+                for _ in other.rotations:
+                    pass
+            assert kept.tobytes() == expected
+
+    def test_interleaved_iterators_match_indexing(self):
+        rng = np.random.default_rng(33)
+        # chunks of 81 and of 227 rotations, so their ends do not line up
+        first = _streamed_sets(rng, n=40, k=9)
+        second = _streamed_sets(rng, n=24, k=9)
+        for a, b in zip(first, second[::-1]):
+            for i, (r, s) in enumerate(zip(a.rotations, b.rotations)):
+                assert r.tobytes() == a.rotations[i].tobytes()
+                assert s.tobytes() == b.rotations[i].tobytes()
+
+    def test_threads_match_indexing(self):
+        import sys
+        import threading
+
+        rng = np.random.default_rng(34)
+        sets = _streamed_sets(rng) + _streamed_sets(rng, n=24, k=9)[:1]
+        mismatches = [None] * len(sets)
+
+        def stream(t):
+            rotations = sets[t].rotations
+            mismatches[t] = sum(
+                r.tobytes() != rotations[i].tobytes() for i, r in enumerate(rotations)
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=stream, args=(t,)) for t in range(len(sets))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == [0] * len(sets)
+
+    def test_second_pass_builds_into_first_pass_buffers(self):
+        import threading
+
+        from rpolar.critical import CHUNK_BYTES
+
+        passes = []
+
+        def stream():
+            # a fresh thread starts with no chunk buffers in use
+            for ms in _streamed_sets(np.random.default_rng(35)):
+                first = _data_addresses(ms.rotations)
+                # takes the first pass's chunk memory, were it freed
+                blocker = np.ones(4 * CHUNK_BYTES // 8)
+                passes.append((first, _data_addresses(ms.rotations)))
+                del blocker
+
+        thread = threading.Thread(target=stream)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(passes) == 3
+        for first, second in passes:
+            assert first == second
