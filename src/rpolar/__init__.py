@@ -74,15 +74,12 @@ from .oracle import (
 )
 from .relaxed import (
     MinimizerSet,
-    ReflectionInfo,
     SchemeStep,
     SchemeTrace,
     optimal_k,
-    reflect_negative,
     rpolar_classical,
     rpolar_diag,
     rpolar_full,
-    rpolar_signed_diag,
     scheme_minimize,
 )
 

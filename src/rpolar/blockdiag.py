@@ -293,8 +293,12 @@ def scalar_square_blocks(y, lam: float) -> BlockDecomposition:
     ------
     NotLambdaSquare
         If ||Y^2 - lam*I||_F exceeds TOL_BLOCK * (1 + ||Y||_F^2).
+    Degenerate
+        If lam is not finite.
     """
     m = as_matrix(y)
+    if not np.isfinite(lam):
+        raise Degenerate("lam must be finite")
     n = m.shape[0]
     if n == 0:
         return BlockDecomposition(basis=np.eye(0), blocks=(), source_dim=0)

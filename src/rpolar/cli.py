@@ -5,12 +5,14 @@ go to stdout (JSON, JSON lines or CSV), diagnostics to stderr.  Identical
 inputs and seeds produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure or other invalid argument,
-2 parse failure, 3 degenerate, reflective or non-finite input, 4 dimension
+2 parse failure, 3 degenerate, reflective or non-finite input or a printed
+value that overflows, 4 dimension
 over the enumeration guard (``--max-n``) or the multistart guard of
 ``verify`` (n <= 16), or minimizers, flow states or multistart work arrays
 over ``MAX_OUTPUT_ENTRIES`` entries, 5 not a symmetric square, 6
 infeasible label.
-Every error prints one ``error:`` line to stderr.
+Every error prints one ``error:`` line to stderr and leaves stdout empty.
+Diagonal values go to ``rpolar_diag`` whatever their signs.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .critical import (
     _CriticalTable,
 )
 from .errors import (
-    DegenerateD,
     Degenerate,
     InfeasibleLabel,
     NonInvertibleOrReflective,
@@ -48,13 +49,7 @@ from .errors import (
 )
 from .linalg import MAX_OUTPUT_ENTRIES, exp_skew, frob_norm_sq, random_rotation, skew
 from .oracle import biot_flow, brute_force_min, integrate_flow
-from .relaxed import (
-    MinimizerSet,
-    rpolar_diag,
-    rpolar_full,
-    rpolar_signed_diag,
-    scheme_minimize,
-)
+from .relaxed import MinimizerSet, rpolar_diag, rpolar_full, scheme_minimize
 
 SCHEMA = "rpolar/1"
 
@@ -213,21 +208,26 @@ def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload) + "\n")
 
 
+def _require_finite(values, message: str) -> None:
+    """Raise ``Degenerate`` before any output when a value to print is not
+    finite: JSON has no Infinity or NaN."""
+    if not np.all(np.isfinite(values)):
+        raise Degenerate(message)
+
+
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_rpolar(args) -> int:
     if args.mode == "diag":
         values = parse_diag_list(args.input)
-        if np.any(values <= 0):
-            ms = rpolar_signed_diag(values)
-        else:
-            ms = rpolar_diag(values)
+        ms = rpolar_diag(values)
         n = values.size
     else:
         f = parse_matrix_file(args.input)
         ms = rpolar_full(f)
         n = f.shape[0]
+    _require_finite(ms.reduced_energy, "reduced energy overflows")
     if 2**ms.k * n * n > MAX_OUTPUT_ENTRIES:
         raise TooLarge(f"2**{ms.k} minimizers of {n}x{n} exceed {MAX_OUTPUT_ENTRIES} entries")
     if args.format == "text":
@@ -249,6 +249,7 @@ def cmd_critical(args) -> int:
     if args.label is not None:
         label = parse_label(args.label)
         value = critical_value(label, params)
+        _require_finite(value, "critical value overflows")
         payload = {
             "schema": SCHEMA,
             "kind": "critical_value",
@@ -264,7 +265,9 @@ def cmd_critical(args) -> int:
             payload["reason"] = str(exc)
         _emit(payload)
         return EXIT_OK
-    _write_critical_points(_critical_table(params, max_n=args.max_n))
+    table = _critical_table(params, max_n=args.max_n)
+    _require_finite(table.values, "critical values overflow")
+    _write_critical_points(table)
     return EXIT_OK
 
 
@@ -278,8 +281,7 @@ def cmd_blockdiag(args) -> int:
     for part in split:
         total += part
     # the parts are non-negative, so a finite total means finite parts
-    if not math.isfinite(total):
-        raise Degenerate("Frobenius split overflows: ||X||_F^2 is not finite")
+    _require_finite(total, "Frobenius split overflows: ||X||_F^2 is not finite")
     payload = {
         "schema": SCHEMA,
         "kind": "block_decomposition",
@@ -304,8 +306,10 @@ def cmd_blockdiag(args) -> int:
 
 def _verify_case(values: np.ndarray, args) -> dict:
     ms = rpolar_diag(values)
+    _require_finite(ms.reduced_energy, "reduced energy overflows")
     report = brute_force_min(values, n_starts=args.starts, seed=args.seed)
     diff = abs(ms.reduced_energy - report.best_value)
+    _require_finite(diff, "oracle value is not finite")
     return {
         "d": [float(v) for v in values],
         "closed_form": ms.reduced_energy,
@@ -324,8 +328,11 @@ def _random_strict_diag(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def cmd_verify(args) -> int:
     cases = []
-    if args.batch < 0 or args.n < 1:
-        raise ParseFailure(f"need --batch >= 0 and --n >= 1, got {args.batch} and {args.n}")
+    if args.batch < 0 or args.n < 1 or not math.isfinite(args.tol):
+        raise ParseFailure(
+            f"need --batch >= 0, --n >= 1 and a finite --tol, "
+            f"got {args.batch}, {args.n} and {args.tol}"
+        )
     if args.batch:
         rng = np.random.default_rng(args.seed)
         for _ in range(args.batch):
@@ -382,6 +389,7 @@ def cmd_scheme(args) -> int:
     start = parse_label(args.label)
     trace = scheme_minimize(start, values)
     final = rpolar_diag(values)
+    _require_finite(trace.values + [final.reduced_energy], "label values overflow")
     if args.format == "json":
         _emit(
             {
@@ -475,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 # First matching entry wins, so subclasses come before RpolarError.
 _EXIT_CODES = (
     (ParseFailure, EXIT_PARSE),
-    ((DegenerateD, NonInvertibleOrReflective, Degenerate), EXIT_DEGENERATE),
+    ((NonInvertibleOrReflective, Degenerate), EXIT_DEGENERATE),
     (TooLarge, EXIT_TOO_LARGE),
     (NotSymmetricSquare, EXIT_NOT_SYMSQ),
     (InfeasibleLabel, EXIT_INFEASIBLE),

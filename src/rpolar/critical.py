@@ -74,10 +74,7 @@ class DiagParams:
     def from_values(cls, values) -> "DiagParams":
         d = _finite_values(values)
         if np.any(d <= 0.0):
-            raise DegenerateD(
-                "diagonal values must be positive; reduce signed inputs "
-                "with reflect_negative first"
-            )
+            raise DegenerateD("diagonal values must be positive")
         return cls(d=d, order=np.argsort(-d, kind="stable"))
 
     @property
@@ -109,16 +106,6 @@ def as_diag(d) -> DiagParams:
     if isinstance(d, DiagParams):
         return d
     return DiagParams.from_values(d)
-
-
-def _diag_values(d) -> np.ndarray:
-    """Raw diagonal values; accepts DiagParams or any array-like."""
-    if isinstance(d, DiagParams):
-        return d.d
-    v = np.atleast_1d(np.asarray(d, dtype=float))
-    if v.ndim != 1:
-        raise DimensionMismatch("diagonal values must be a vector")
-    return v
 
 
 @dataclass(frozen=True)
@@ -235,7 +222,7 @@ class CriticalPoint:
 def _checked(r, d) -> tuple[np.ndarray, np.ndarray]:
     """Validated rotation and diagonal values of matching dimension."""
     rm = as_matrix(r)
-    dv = _diag_values(d)
+    dv = _finite_values(d)
     if rm.shape[0] != dv.size:
         raise DimensionMismatch("rotation and diagonal dimensions differ")
     return rm, dv
@@ -267,8 +254,8 @@ def energy_weighted(rbar, f, mu: float, mu_c: float) -> float:
     mu_c = mu it collapses to mu*||Rb^T F - I||^2 because the symmetric
     and skew parts are orthogonal.
     """
-    if mu < 0 or mu_c < 0:
-        raise InvalidWeights("weights must be non-negative")
+    if not (0 <= mu < np.inf and 0 <= mu_c < np.inf):
+        raise InvalidWeights("weights must be finite and non-negative")
     rm = as_matrix(rbar)
     fm = as_matrix(f)
     if rm.shape != fm.shape:
@@ -288,7 +275,7 @@ def stationarity_defect(r, d) -> float:
 
 def is_critical(r, d) -> bool:
     """Stationarity test: ||skew((R D - I)^2)|| <= CRITICAL_TOL (1 + ||D||^2)."""
-    dv = _diag_values(d)
+    dv = _finite_values(d)
     return stationarity_defect(r, dv) <= CRITICAL_TOL * (1.0 + float(np.sum(dv * dv)))
 
 
@@ -301,15 +288,18 @@ def _label_value(subsets, dv) -> float:
     A singleton's value is (d_i - det)^2 and a pair's (d_i - det d_j)^2 / 2.
     An explicit loop rather than ``sum()``, so that the value does not
     depend on the Python version's float summation; ``_table`` adds its
-    columns in the same order.
+    columns in the same order.  ``dv`` is a list of Python floats, whose
+    products overflow to inf without an exception or a warning.
     """
     total = 0.0
     for indices, det in subsets:
         if len(indices) == 1:
-            total += (dv[indices[0] - 1] - det) ** 2
+            t = dv[indices[0] - 1] - det
+            total += t * t
         else:
-            total += 0.5 * (dv[indices[0] - 1] - det * dv[indices[1] - 1]) ** 2
-    return float(total)
+            t = dv[indices[0] - 1] - det * dv[indices[1] - 1]
+            total += 0.5 * (t * t)
+    return total
 
 
 def _check_structure(label: PartitionLabel, n: int) -> None:
@@ -351,7 +341,7 @@ def critical_value(label: PartitionLabel, d) -> float:
                 f"pair {sub.indices}: d_i + d_j = {di + dj:.12g} is not above "
                 f"2 + {BOUNDARY_TOL:g}, no 2x2 block exists"
             )
-    return _label_value(((s.indices, s.det_sign) for s in label.subsets), params.d)
+    return _label_value(((s.indices, s.det_sign) for s in label.subsets), params.d.tolist())
 
 
 # -- realization -------------------------------------------------------------
@@ -534,7 +524,7 @@ def _points(label: PartitionLabel, dv: np.ndarray) -> list[CriticalPoint]:
     subsets = [(s.indices, s.det_sign) for s in label.subsets]
     family = _family(subsets, dv)
     rotations = family._chunk(0, len(family))
-    value = _label_value(subsets, dv)
+    value = _label_value(subsets, dv.tolist())
     # angle signs: +1 for a singleton, +1 then -1 for a pair
     options = [
         tuple(SubsetLabel(indices, det, a) for a in (1, -1)[: len(indices)])
@@ -671,7 +661,7 @@ def _table(params: DiagParams) -> _CriticalTable:
     """The partitions whose pairs all admit a block, each expanded to its
     admitted det signs of product +1, with their values."""
     subsets, sids, sizes = _partition_rows(params.n)
-    dv = params.d
+    dv = params.d.tolist()
     # how many det signs each subset admits; with one, it is +1, because a
     # pair that admits -1 admits +1; the padding has one and adds 0.0
     options = [

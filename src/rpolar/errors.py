@@ -45,8 +45,8 @@ class NonClassicalRange(RpolarError):
     """Weights fall outside the classical range mu_c >= mu > 0."""
 
 
-class DegenerateD(RpolarError):
-    """Diagonal parameters violate d_i != 0 or d_i + d_j != 0."""
+class DegenerateD(Degenerate):
+    """Diagonal parameters are not finite, not positive, vanish or cancel."""
 
 
 class StepTooLarge(RpolarError):

@@ -120,14 +120,20 @@ def as_rotation(m) -> np.ndarray:
     inputs; anything beyond is rejected.
     """
     a = as_matrix(m)
+    if _rotation_drift(a) > 1e-15:
+        a = project_rotation(a)
+    return a
+
+
+def _rotation_drift(a: np.ndarray) -> float:
+    """Orthogonality defect of a checked square matrix that ``as_rotation``
+    accepts; raises as it does otherwise."""
     defect = orthogonality_defect(a)
     if defect > MAX_ROTATION_DRIFT:
         raise RpolarError(f"orthogonality drift {defect:.3e} exceeds {MAX_ROTATION_DRIFT:.1e}")
     if np.linalg.det(a) <= 0:
         raise NonInvertibleOrReflective("matrix is not orientation preserving")
-    if defect > 1e-15:
-        a = project_rotation(a)
-    return a
+    return defect
 
 
 @dataclass(frozen=True, eq=False)

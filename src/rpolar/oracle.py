@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critical import _checked, _diag_values, _energy_batch, _grad_batch
+from .critical import _checked, _energy_batch, _finite_values, _grad_batch
 from .errors import Degenerate, RpolarError, StepTooLarge, TooLarge
-from .linalg import MAX_OUTPUT_ENTRIES, as_matrix, exp_skew_batch, haar_rotations
+from .linalg import MAX_OUTPUT_ENTRIES, _rotation_drift, exp_skew_batch, haar_rotations
 
 GTOL = 1e-9
 MAX_ITER = 2000
@@ -97,6 +97,14 @@ def riemannian_gradient(r, d) -> np.ndarray:
 def _gtol(dv: np.ndarray) -> float:
     # a gradient of size ||D||^2 is resolved only to about eps * ||D||^2
     return max(GTOL, 4.0 * np.finfo(float).eps * (1.0 + float(dv @ dv)))
+
+
+def _start(r0, d) -> tuple[np.ndarray, np.ndarray]:
+    """A start that ``as_rotation`` accepts, used as given, and the
+    diagonal values; checked once per call, never per step."""
+    r, dv = _checked(r0, d)
+    _rotation_drift(r)
+    return r, dv
 
 
 def _project_batch(r: np.ndarray) -> np.ndarray:
@@ -223,10 +231,10 @@ def descend(r0, d) -> DescentResult:
     where the Hessian is not positive definite and backtracked.
     Terminates when the body-frame gradient norm drops below ``_gtol`` of
     D or after ``MAX_ITER`` iterations; the last iterate is returned
-    either way, with ``converged`` reporting which case occurred.
+    either way, with ``converged`` reporting which case occurred.  The
+    start must be a rotation within ``MAX_ROTATION_DRIFT``.
     """
-    rm = as_matrix(r0)
-    dv = _diag_values(d)
+    rm, dv = _start(r0, d)
     r, e, conv, iters, gn = _descend_batch(rm[None], dv, _gtol(dv), MAX_ITER)
     return DescentResult(
         rotation=r[0],
@@ -250,12 +258,12 @@ def brute_force_min(d, n_starts: int = 200, seed: int = 0) -> DescentReport:
         (n^2 + p^2) entries with p = n(n-1)/2, exceed
         ``MAX_OUTPUT_ENTRIES``; checked before any start is drawn.
     """
-    dv = _diag_values(d)
+    dv = _finite_values(d)
     n = dv.size
     if n > 16:
         raise TooLarge(f"n = {n} exceeds the multistart guard n <= 16")
-    if n == 0 or n_starts < 1:
-        raise RpolarError("need at least one diagonal value and one start")
+    if n_starts < 1:
+        raise RpolarError("need at least one start")
     p = n * (n - 1) // 2
     if n_starts * (n * n + p * p) > MAX_OUTPUT_ENTRIES:
         raise TooLarge(
@@ -276,26 +284,29 @@ def brute_force_min(d, n_starts: int = 200, seed: int = 0) -> DescentReport:
     )
 
 
-def _integrate(r0, dv, rhs, energy_fn, step, t_end, gtol):
-    """Lie-Euler steps R <- R exp(step * rhs(R)) with kernels that skip validation."""
+def _integrate(r, dv, rhs, energy_fn, step, t_end, gtol):
+    """Lie-Euler steps R <- R exp(step * rhs(R)) from a checked ``_start``,
+    with kernels that skip validation."""
     if not (0 < step < np.inf and t_end >= 0 and np.isfinite(float(t_end) / float(step))):
         raise RpolarError(
             "step must be positive and finite, t_end non-negative and t_end / step finite"
         )
-    r, dv = _checked(r0, dv)
     n_steps = int(round(t_end / step))
     if (n_steps + 1) * dv.size**2 > MAX_OUTPUT_ENTRIES:
         raise TooLarge(
             f"{n_steps + 1} states of {dv.size}x{dv.size} exceed {MAX_OUTPUT_ENTRIES} entries"
         )
+    with np.errstate(over="ignore"):
+        scale = 1.0 + float(dv @ dv)
+    # on SO(n) energies and gradient entries stay below 4 (||D||^2 + n)
+    if not np.isfinite(8.0 * (scale + dv.size)):
+        raise Degenerate("||D||^2 is too large: flow energies could overflow")
+    # an energy of size ||D||^2 is resolved only to about eps * ||D||^2
+    allowance = 1e-9 + 8.0 * np.finfo(float).eps * scale
     states = np.empty((n_steps + 1, dv.size, dv.size))
     energies = np.empty(n_steps + 1)
     states[0] = r
     energies[0] = energy_fn(r)
-    if not np.isfinite(energies[0]):
-        raise Degenerate("flow energy is not finite at the start")
-    # an energy of size ||D||^2 is resolved only to about eps * ||D||^2
-    allowance = 1e-9 + 8.0 * np.finfo(float).eps * (1.0 + float(dv @ dv))
     k = 0
     while k < n_steps:
         a = rhs(states[k])
@@ -326,7 +337,8 @@ def integrate_flow(r0, d, step: float, t_end: float, gtol=None) -> FlowTrajector
     trajectory; energies are non-increasing for a stable step size, and a
     per-step increase beyond 1e-9 + 8 eps (1 + ||D||^2), the energy's
     rounding level, raises.  With ``gtol`` set, integration stops early
-    once ||A|| drops below it.
+    once ||A|| drops below it.  The start must be a rotation within
+    ``MAX_ROTATION_DRIFT``.
 
     Raises
     ------
@@ -336,7 +348,7 @@ def integrate_flow(r0, d, step: float, t_end: float, gtol=None) -> FlowTrajector
         If the (t_end / step + 1) states would hold more than
         ``MAX_OUTPUT_ENTRIES`` entries; checked before the first step.
     """
-    dv = _diag_values(d)
+    r0, dv = _start(r0, d)
     return _integrate(
         r0,
         dv,
@@ -354,9 +366,10 @@ def biot_flow(r0, d, step: float, t_end: float, gtol=None) -> FlowTrajectory:
     Descends V(R) = ||R D - I||^2 / 2, whose unique minimizer is the
     identity; trajectories from starts near the identity converge to it.
     Recorded energies are V(R); as for ``integrate_flow``, a per-step
-    increase beyond 1e-9 + 8 eps (1 + ||D||^2) raises ``StepTooLarge``.
+    increase beyond 1e-9 + 8 eps (1 + ||D||^2) raises ``StepTooLarge``,
+    and the start must be a rotation as for ``integrate_flow``.
     """
-    dv = _diag_values(d)
+    r0, dv = _start(r0, d)
 
     def rhs(r):
         m = r.T * dv[None, :]

@@ -14,10 +14,12 @@ The 2^k minimizers are the critical points of that optimal label, so
 they are built on demand as its ``critical.RotationFamily`` (see
 ``MinimizerSet`` for their order), and W_red is its critical value.
 
-This module also provides the energy-decreasing label transformation that
-connects an arbitrary critical point to the optimal one, the full-matrix
-entry point via polar reduction, and the sign-reflection reduction for
-diagonal parameters with negative entries.
+Signed parameters reduce to |D| with the reflection J = diag(sign d_i):
+sym(R D - I) = sym((R J)(J D) - I), so when det J = +1 the minimizers of D
+are those of |D| composed with J.  This module also provides the
+energy-decreasing label transformation that connects an arbitrary critical
+point to the optimal one, and the full-matrix entry point via polar
+reduction.
 """
 
 from __future__ import annotations
@@ -156,10 +158,12 @@ def _partner_value(partner, dv) -> float:
     total = 0.0
     for i, j in enumerate(partner):
         if i == j:
-            total += (dv[i] - 1) ** 2
+            t = dv[i] - 1
+            total += t * t
         elif i < j:
-            total += 0.5 * (dv[i] - dv[j]) ** 2
-    return float(total)
+            t = dv[i] - dv[j]
+            total += 0.5 * (t * t)
+    return total
 
 
 def _minimize(params: DiagParams, left=None, right=None) -> MinimizerSet:
@@ -207,7 +211,7 @@ def _minimize(params: DiagParams, left=None, right=None) -> MinimizerSet:
 
 
 def rpolar_diag(d) -> MinimizerSet:
-    """All global minimizers of W(R; D) for positive diagonal parameters.
+    """All global minimizers of W(R; D) for diagonal parameters.
 
     Pairs are formed on the sorted values and mapped back to user index
     positions; ``optimal_k`` decides how many.  A pair sum at or below
@@ -215,8 +219,40 @@ def rpolar_diag(d) -> MinimizerSet:
     flagged "boundary_case" when that sum lies within ``BOUNDARY_TOL`` of 2.
     With tied entries a representative of each minimizer family is returned
     and a ``TiesNotStrictWarning`` is emitted when the tie is active.
+
+    Input with an entry <= 0 is reduced to |D| by the reflection
+    J = diag(sign d_i): the minimizers of |D| composed with J, flagged
+    "reflected".  That needs det J = +1, no entry within ``RANK_TOL`` of 0
+    and no two entries cancelling within ``RANK_TOL``, both relative to
+    max |d_i|.
+
+    Raises
+    ------
+    DegenerateD
+        If an entry is not finite, or a signed input vanishes, cancels or
+        has an odd number of negative entries (the minimizers then lie in
+        the orientation-reversing component, which has no closed form
+        here).
     """
-    return _minimize(as_diag(d))
+    dv = _finite_values(d)
+    signs = None
+    if np.any(dv <= 0):
+        scale = float(np.max(np.abs(dv)))
+        if scale == 0.0 or np.any(np.abs(dv) <= RANK_TOL * scale):
+            raise DegenerateD("diagonal entries must be nonzero")
+        sums = dv[:, None] + dv[None, :]
+        np.fill_diagonal(sums, 1.0)  # d_i + d_i = 2 d_i != 0 already checked
+        if np.any(np.abs(sums) <= RANK_TOL * scale):
+            raise DegenerateD("diagonal entries must not cancel additively")
+        signs = np.where(dv > 0, 1.0, -1.0)
+        if np.prod(signs) < 0:
+            raise DegenerateD(
+                "orientation-reversing reflection: minimizers over SO(n) are "
+                "not characterized for this sign pattern"
+            )
+        dv = np.abs(dv)
+    ms = _minimize(DiagParams(d=dv, order=np.argsort(-dv, kind="stable")), right=signs)
+    return ms if signs is None else replace(ms, flags=ms.flags + ("reflected",))
 
 
 def rpolar_full(f) -> MinimizerSet:
@@ -247,8 +283,8 @@ def rpolar_classical(f, mu: float, mu_c: float) -> np.ndarray:
     NonClassicalRange
         If mu_c < mu; use ``rpolar_full`` for the (1, 0) limit case.
     """
-    if mu <= 0 or mu_c < 0:
-        raise NonClassicalRange("requires mu > 0 and mu_c >= 0")
+    if not (0 < mu < np.inf and 0 <= mu_c < np.inf):
+        raise NonClassicalRange("requires finite mu > 0 and mu_c >= 0")
     if mu_c < mu:
         raise NonClassicalRange(
             "weights are outside the classical range mu_c >= mu"
@@ -337,82 +373,3 @@ def scheme_minimize(start: PartitionLabel, d) -> SchemeTrace:
             for i, name in enumerate(names)
         )
     )
-
-
-# -- sign reflection ---------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ReflectionInfo:
-    """Reduction of signed diagonal parameters to |D|.
-
-    ``signs`` is the diagonal of the reflection J with J D = |D|.  When
-    det J = +1, minimizers of W(.; D) over SO(n) are exactly
-    {R' J : R' minimizes W(.; |D|)}; when det J = -1 the minimization
-    lives in the orientation-reversing component, for which no closed form
-    is provided, and ``orientation_reversed`` is set for the caller.
-    """
-
-    abs_params: DiagParams
-    signs: np.ndarray
-    det_sign: int
-
-    @property
-    def orientation_reversed(self) -> bool:
-        return self.det_sign < 0
-
-    def reflection(self) -> np.ndarray:
-        return np.diag(self.signs)
-
-
-def reflect_negative(d_signed) -> ReflectionInfo:
-    """Reduce signed diagonal parameters to positive ones via a reflection.
-
-    Requires d_i != 0 and d_i + d_j != 0 for all i, j (no additive
-    cancellation), checked within ``RANK_TOL`` relative to max|d_i|.
-
-    Raises
-    ------
-    DegenerateD
-        If an entry is not finite, vanishes or two entries cancel.
-    """
-    dv = _finite_values(d_signed)
-    scale = float(np.max(np.abs(dv)))
-    if scale == 0.0 or np.any(np.abs(dv) <= RANK_TOL * scale):
-        raise DegenerateD("diagonal entries must be nonzero")
-    sums = dv[:, None] + dv[None, :]
-    np.fill_diagonal(sums, 1.0)  # d_i + d_i = 2 d_i != 0 already checked
-    if np.any(np.abs(sums) <= RANK_TOL * scale):
-        raise DegenerateD("diagonal entries must not cancel additively")
-    signs = np.where(dv > 0, 1.0, -1.0)
-    det_sign = int(np.prod(signs))
-    return ReflectionInfo(
-        abs_params=DiagParams.from_values(np.abs(dv)),
-        signs=signs,
-        det_sign=det_sign,
-    )
-
-
-def rpolar_signed_diag(d_signed) -> MinimizerSet:
-    """Minimizers for signed diagonal parameters with det J = +1.
-
-    Composes the minimizers of |D| with the reflection J; the energies
-    agree because sym(R D - I) = sym((R J)(J D) - I).
-
-    Raises
-    ------
-    DegenerateD
-        If the reflection is orientation reversing (det J = -1), in which
-        case the minimizers are not characterized, or the entries violate
-        the reflection preconditions.
-    """
-    info = reflect_negative(d_signed)
-    if info.orientation_reversed:
-        raise DegenerateD(
-            "orientation-reversing reflection: minimizers over SO(n) are "
-            "not characterized for this sign pattern"
-        )
-    if np.all(info.signs > 0):
-        return _minimize(info.abs_params)
-    ms = _minimize(info.abs_params, right=info.signs)
-    return replace(ms, flags=ms.flags + ("reflected",))

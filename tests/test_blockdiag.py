@@ -158,6 +158,11 @@ class TestScalarSquareBlocks:
         with pytest.raises(NotLambdaSquare):
             rp.scalar_square_blocks(np.diag([1.0, 2.0]), 1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lam_rejected(self, lam):
+        with pytest.raises(Degenerate):
+            rp.scalar_square_blocks(np.eye(2), lam)
+
     @pytest.mark.parametrize(
         "y",
         [

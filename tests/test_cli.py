@@ -154,7 +154,7 @@ class TestRpolarCmd:
             ms = rp.rpolar_full(parse_matrix_file(str(path)))
             argv = ("rpolar", "full", str(path))
         else:
-            ms = rp.rpolar_signed_diag(d) if np.any(d < 0) else rp.rpolar_diag(d)
+            ms = rp.rpolar_diag(d)
             argv = ("rpolar", "diag", "--", values)
         assert ms.k == k
         payload = {
@@ -506,6 +506,8 @@ class TestErrorContract:
             (("flow", "3,1", "--perturb", "inf"), EXIT_DEGENERATE),
             # 1e11 starts would need terabytes: refused before any is drawn
             (("verify", "3,2,1", "--starts", "100000000000"), EXIT_TOO_LARGE),
+            # a tolerance of nan would print as NaN in the JSON report
+            (("verify", "3,2,1", "--tol", "nan", "--format", "json"), EXIT_PARSE),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -518,6 +520,45 @@ class TestErrorContract:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestHostileValues:
+    """Every subcommand that reads diagonal values keeps the output
+    contract on non-finite, overflowing, tiny, odd-parity and zero input:
+    a documented exit code, one ``error:`` line and no stdout on error, and
+    no Infinity or NaN in what it prints."""
+
+    LABEL = "{1}+,{2}+,{3}+"
+
+    @pytest.mark.parametrize(
+        "values", ["nan,1,0.5", "inf,1,0.5", "1e200,1,0.5", "1e-300,1,0.5", "-2,3,1", "2,0,1"]
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("rpolar", "diag"),
+            ("critical",),
+            ("critical", "--label", LABEL),
+            ("scheme", "--label", LABEL),
+            ("verify", "--starts", "3"),
+            ("flow", "--t-end", "0.04"),
+        ],
+        ids=["rpolar-diag", "critical", "critical-label", "scheme", "verify", "flow"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_output_contract(self, capsys, command, values):
+        code, out, err = run(capsys, *command, "--", values)
+        assert code in (
+            EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_DEGENERATE, EXIT_TOO_LARGE,
+            EXIT_NOT_SYMSQ, EXIT_INFEASIBLE,
+        )
+        assert "Infinity" not in out and "NaN" not in out
+        if err:
+            assert code != EXIT_OK and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            # a verification failure is a report on stdout, not an error
+            assert code == EXIT_OK or (command[0] == "verify" and code == EXIT_FAIL)
 
 
 class TestVersion:

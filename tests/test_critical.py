@@ -85,6 +85,12 @@ class TestEnergy:
         with pytest.raises(DimensionMismatch):
             rp.energy(np.eye(2), [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        for check in (rp.energy, rp.is_critical, rp.stationarity_defect):
+            with pytest.raises(DegenerateD, match="finite"):
+                check(np.eye(2), [bad, 1.0])
+
 
 class TestEnergyWeighted:
     def test_equal_weights_collapse(self):
@@ -119,6 +125,11 @@ class TestEnergyWeighted:
     def test_negative_weights_rejected(self):
         with pytest.raises(InvalidWeights):
             rp.energy_weighted(np.eye(2), np.eye(2), -1.0, 0.0)
+
+    @pytest.mark.parametrize("mu, mu_c", [(np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0), (1.0, np.inf)])
+    def test_non_finite_weights_rejected(self, mu, mu_c):
+        with pytest.raises(InvalidWeights):
+            rp.energy_weighted(np.eye(2), np.eye(2), mu, mu_c)
 
 
 def planar(alpha, det=1):

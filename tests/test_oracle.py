@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 import rpolar as rp
-from rpolar.errors import Degenerate, DimensionMismatch, RpolarError, StepTooLarge, TooLarge
+from rpolar.errors import (
+    Degenerate,
+    DegenerateD,
+    DimensionMismatch,
+    NonInvertibleOrReflective,
+    RpolarError,
+    StepTooLarge,
+    TooLarge,
+)
 from rpolar.oracle import _grad_batch, _jacobian_batch
 
 RNG = np.random.default_rng(1618)
@@ -195,8 +203,21 @@ class TestDescend:
         res = rp.descend(rp.random_rotation(4, 5), [3.0, 2.0, 1.5, 0.5])
         assert rp.frob_norm(res.rotation.T @ res.rotation - np.eye(4)) <= 1e-10
 
+    def test_start_off_so_n_rejected(self):
+        with pytest.raises(NonInvertibleOrReflective):
+            rp.descend(np.diag([1.0, 1.0, -1.0]), [3.0, 2.0, 1.0])
+        with pytest.raises(RpolarError, match="drift"):
+            rp.descend(2.0 * np.eye(3), [3.0, 2.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            rp.descend(np.eye(2), [3.0, 2.0, 1.0])
+
 
 class TestBruteForce:
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0, 0.5], [np.inf, 1.0, 0.5], []])
+    def test_bad_values_rejected(self, bad):
+        with pytest.raises(DegenerateD):
+            rp.brute_force_min(bad, n_starts=3)
+
     def test_identity_parameters(self):
         # D = I sits on the bifurcation boundary (d_i + d_j = 2 for every
         # pair), where the energy is quartically flat in skew directions;
@@ -362,6 +383,22 @@ class TestFlowValidation:
     def test_negative_t_end_rejected(self, flow, t_end):
         with pytest.raises(RpolarError):
             flow(np.eye(2), [3.0, 1.0], step=0.1, t_end=t_end)
+
+    def test_start_off_so_n_rejected(self, flow):
+        with pytest.raises(NonInvertibleOrReflective):
+            flow(np.diag([1.0, 1.0, -1.0]), [3.0, 2.0, 1.0], step=0.02, t_end=1.0)
+        with pytest.raises(RpolarError, match="drift"):
+            flow(2.0 * np.eye(3), [3.0, 2.0, 1.0], step=0.02, t_end=1.0)
+
+    def test_start_within_drift_used_as_given(self, flow):
+        r0 = rp.random_rotation(3, 4) @ (np.eye(3) + 1e-10 * np.diag([1.0, -2.0, 3.0]))
+        traj = flow(r0, [3.0, 2.0, 1.0], step=0.02, t_end=0.1)
+        assert traj.states[0].tobytes() == r0.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_values_rejected(self, flow):
+        with pytest.raises(Degenerate, match="overflow"):
+            flow(np.eye(2), [1e200, 1.0], step=0.02, t_end=1.0)
 
     def test_zero_t_end_keeps_the_start(self, flow):
         traj = flow(np.eye(2), [3.0, 1.0], step=0.1, t_end=0.0)

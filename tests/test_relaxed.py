@@ -224,8 +224,16 @@ class TestOneValue:
             signs = np.ones(n)
             signs[rng.choice(n, size=2 * int(rng.integers(0, n // 2 + 1)), replace=False)] = -1
             d = signs * rng.uniform(0.1, 5.0, n)
-            ms = rp.rpolar_signed_diag(d)
+            ms = rp.rpolar_diag(d)
             assert ms.reduced_energy == rp.critical_value(ms.label, np.abs(d))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_inf(self):
+        # squares overflow to inf, as in critical_value, not to an OverflowError
+        for d in ([1e200, 1.0], [3e154, 1.0, 0.5]):
+            ms = rp.rpolar_diag(d)
+            assert ms.reduced_energy == np.inf
+            assert rp.critical_value(ms.label, d) == np.inf
 
     def test_full(self):
         rng = np.random.default_rng(163)
@@ -316,6 +324,11 @@ class TestRpolarClassical:
     def test_bad_weights_rejected(self):
         with pytest.raises(NonClassicalRange):
             rp.rpolar_classical(np.eye(2), 0.0, 1.0)
+
+    @pytest.mark.parametrize("mu, mu_c", [(np.nan, np.nan), (np.inf, np.inf), (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_weights_rejected(self, mu, mu_c):
+        with pytest.raises(NonClassicalRange):
+            rp.rpolar_classical(np.eye(2), mu, mu_c)
 
 
 class TestScheme:
@@ -411,22 +424,29 @@ class TestScheme:
 
 
 class TestReflectNegative:
+    """Signed diagonals: ``rpolar_diag`` reduces them to |D| by the
+    reflection J = diag(sign d_i)."""
+
     def test_positive_passthrough(self):
-        info = rp.reflect_negative([2.0, 1.0])
-        assert not info.orientation_reversed
-        np.testing.assert_array_equal(info.signs, [1.0, 1.0])
-        np.testing.assert_array_equal(info.abs_params.d, [2.0, 1.0])
+        ms = rp.rpolar_diag([2.0, 1.0])
+        assert "reflected" not in ms.flags
+        assert ms.reduced_energy == 0.5
+        for r in ms.rotations:
+            assert rp.is_critical(r, [2.0, 1.0])
+            assert rp.energy(r, [2.0, 1.0]) == pytest.approx(0.5, rel=1e-12)
 
     def test_orientation_reversed_flag(self):
-        info = rp.reflect_negative([2.0, -3.0])
-        assert info.det_sign == -1
-        assert info.orientation_reversed
-        np.testing.assert_array_equal(info.abs_params.d, [2.0, 3.0])
-        np.testing.assert_array_equal(info.reflection(), np.diag([1.0, -1.0]))
+        with pytest.raises(DegenerateD, match="orientation"):
+            rp.rpolar_diag([2.0, -3.0])
+        # one more negative entry makes det J = +1: |D| = [2, 3], J = -I
+        ms = rp.rpolar_diag([-2.0, -3.0])
+        base = rp.rpolar_diag([2.0, 3.0])
+        for r, b in zip(ms.rotations, base.rotations):
+            assert r.tobytes() == (b @ np.diag([-1.0, -1.0])).tobytes()
 
     def test_even_sign_composition_energy(self):
         d_signed = np.array([-2.0, -3.0])
-        ms = rp.rpolar_signed_diag(d_signed)
+        ms = rp.rpolar_diag(d_signed)
         assert "reflected" in ms.flags
         base = rp.rpolar_diag([2.0, 3.0])
         assert ms.reduced_energy == base.reduced_energy
@@ -439,13 +459,17 @@ class TestReflectNegative:
     def test_energy_invariance_under_reflection(self):
         # ||sym(R D - I)||^2 == ||sym((R J)(J D) - I)||^2 for random R
         d_signed = np.array([2.5, -1.5, -0.5, 1.2])
-        info = rp.reflect_negative(d_signed)
-        j = info.reflection()
+        j = np.diag(np.sign(d_signed))
         for seed in range(5):
             r = rp.random_rotation(4, seed)
             lhs = rp.energy(r, d_signed)
             rhs = rp.frob_norm_sq(rp.sym((r @ j) @ np.diag(np.abs(d_signed)) - np.eye(4)))
             assert lhs == pytest.approx(rhs, rel=1e-13)
+        # so R minimizes D exactly when R J minimizes |D|
+        ms = rp.rpolar_diag(d_signed)
+        assert "reflected" in ms.flags
+        for r in ms.rotations:
+            assert rp.energy(r @ j, np.abs(d_signed)) == pytest.approx(ms.reduced_energy, rel=1e-13)
 
     @pytest.mark.parametrize(
         "bad",
@@ -453,13 +477,13 @@ class TestReflectNegative:
     )
     def test_degenerate_rejected(self, bad):
         with pytest.raises(DegenerateD) as exc:
-            rp.reflect_negative(bad)
+            rp.rpolar_diag(bad)
         # the message names the real fault, not a zero entry at scale inf
         assert ("finite" in str(exc.value)) == (not np.all(np.isfinite(bad)))
 
     def test_signed_solver_rejects_reversed(self):
         with pytest.raises(DegenerateD):
-            rp.rpolar_signed_diag([2.0, -3.0, 1.0])
+            rp.rpolar_diag([2.0, -3.0, 1.0])
 
 
 def _spectrum(rng, n, k):
@@ -536,7 +560,7 @@ class TestLazyRotations:
 
     def test_reflected_set_equals_reflection_product(self):
         d_signed = np.array([-3.0, 2.8, -2.5, 2.2, 1.9, 1.6, 0.5])
-        ms = rp.rpolar_signed_diag(d_signed)
+        ms = rp.rpolar_diag(d_signed)
         base = rp.rpolar_diag(np.abs(d_signed))
         assert ms.k == base.k == 3
         assert "reflected" in ms.flags
@@ -589,7 +613,7 @@ def _streamed_sets(rng, n=40, k=9):
     d = _spectrum(rng, n, k)
     signs = np.ones(n)
     signs[rng.choice(n, size=4, replace=False)] = -1.0
-    reflected = rp.rpolar_signed_diag(signs * rng.permutation(d))
+    reflected = rp.rpolar_diag(signs * rng.permutation(d))
     assert "reflected" in reflected.flags
     return [rp.rpolar_diag(rng.permutation(d)), reflected, rp.rpolar_full(_full_matrix(rng, d))]
 
