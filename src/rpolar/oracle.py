@@ -13,6 +13,7 @@ descent step.  The convention is pinned by the finite-difference tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,9 +233,11 @@ def descend(r0, d) -> DescentResult:
     Terminates when the body-frame gradient norm drops below ``_gtol`` of
     D or after ``MAX_ITER`` iterations; the last iterate is returned
     either way, with ``converged`` reporting which case occurred.  The
-    start must be a rotation within ``MAX_ROTATION_DRIFT``.
+    start must be a rotation within ``MAX_ROTATION_DRIFT``; D whose
+    energies could overflow raises ``Degenerate`` before any step.
     """
     rm, dv = _start(r0, d)
+    _energy_scale(dv)
     r, e, conv, iters, gn = _descend_batch(rm[None], dv, _gtol(dv), MAX_ITER)
     return DescentResult(
         rotation=r[0],
@@ -253,12 +256,16 @@ def brute_force_min(d, n_starts: int = 200, seed: int = 0) -> DescentReport:
 
     Raises
     ------
+    Degenerate
+        If 8 (1 + ||D||^2 + n) overflows, so that energies could; checked
+        before any start is drawn.
     TooLarge
         If n > 16, or if the starts' rotations and Jacobians, n_starts *
         (n^2 + p^2) entries with p = n(n-1)/2, exceed
         ``MAX_OUTPUT_ENTRIES``; checked before any start is drawn.
     """
     dv = _finite_values(d)
+    _energy_scale(dv)
     n = dv.size
     if n > 16:
         raise TooLarge(f"n = {n} exceeds the multistart guard n <= 16")
@@ -284,9 +291,118 @@ def brute_force_min(d, n_starts: int = 200, seed: int = 0) -> DescentReport:
     )
 
 
-def _integrate(r, dv, rhs, energy_fn, step, t_end, gtol):
-    """Lie-Euler steps R <- R exp(step * rhs(R)) from a checked ``_start``,
-    with kernels that skip validation."""
+def _energy_scale(dv: np.ndarray) -> float:
+    """1 + ||D||^2, checked so that energies and gradients on SO(n) stay finite."""
+    with np.errstate(over="ignore"):
+        scale = 1.0 + float(dv @ dv)
+    # on SO(n) energies and gradient entries stay below 4 (||D||^2 + n)
+    if not np.isfinite(8.0 * (scale + dv.size)):
+        raise Degenerate("||D||^2 is too large: energies could overflow")
+    return scale
+
+
+def _step_too_large(rise: float, t: float) -> StepTooLarge:
+    return StepTooLarge(f"energy increased by {rise:.3e} at t = {t:g}; halve the step size")
+
+
+def _exp_skew3(p, q, s):
+    """exp([[0, p, q], [-p, 0, s], [-q, -s, 0]]) on Python floats, row-major.
+
+    Rodrigues' formula I + sin(t)/t S + (1 - cos t)/t^2 S^2 with
+    t = ||(p, q, s)||, written with sin(t/2) to avoid cancellation, and
+    its series below t = 1e-4, whose truncation error is below 1e-18.
+    With q = s = 0 it is the planar rotation by p in the leading 2x2 block.
+    """
+    t = math.hypot(p, q, s)
+    if t < 1e-4:
+        t2 = t * t
+        a, b = 1.0 - t2 / 6.0, 0.5 - t2 / 24.0
+    elif t < math.inf:
+        h = math.sin(0.5 * t) / t
+        a, b = math.sin(t) / t, 2.0 * h * h
+    else:
+        raise StepTooLarge("the rotation angle of a flow step overflows; halve the step size")
+    pp, qq, ss, pq, ps, qs = b * p * p, b * q * q, b * s * s, b * p * q, b * p * s, b * q * s
+    p, q, s = a * p, a * q, a * s
+    return (
+        1.0 - pp - qq, p - qs, q + ps,
+        -p - qs, 1.0 - pp - ss, s - pq,
+        -q + ps, -s - pq, 1.0 - qq - ss,
+    )  # fmt: skip
+
+
+def _small_steps(r, dv, field3, step, states, energies, gtol, allowance) -> int:
+    """Lie-Euler steps at n <= 3 on Python floats; returns the step count.
+
+    R is padded to a 3x3 block rotation diag(R, I) and D with ones, so that
+    X = R^T D - I is zero outside the n x n block.  ``field3(*X)`` gives the
+    upper entries (0, 1), (0, 2), (1, 2) of the rhs and the energy from X,
+    so one product per step serves the step, the ``gtol`` stop and the
+    energy check.  States and energies go into the given arrays.
+    """
+    n = dv.size
+    pad = np.eye(3)
+    pad[:n, :n] = r
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r = tuple(pad.ravel().tolist())
+    d0, d1, d2 = dv.tolist() + [1.0] * (3 - n)
+    keep = [3 * i + j for i in range(n) for j in range(n)]
+    flat = states.reshape(-1)
+    n_steps = energies.size - 1
+    k = 0
+    while True:
+        w01, w02, w12, e = field3(
+            r00 * d0 - 1.0, r10 * d1, r20 * d2,
+            r01 * d0, r11 * d1 - 1.0, r21 * d2,
+            r02 * d0, r12 * d1, r22 * d2 - 1.0,
+        )  # fmt: skip
+        if k and e > e_prev + allowance:
+            raise _step_too_large(e - e_prev, k * step)
+        energies[k] = e_prev = e
+        flat[k * n * n : (k + 1) * n * n] = r if n == 3 else [r[i] for i in keep]
+        if k == n_steps or (
+            gtol is not None and math.sqrt(2.0 * (w01 * w01 + w02 * w02 + w12 * w12)) <= gtol
+        ):
+            break
+        e00, e01, e02, e10, e11, e12, e20, e21, e22 = _exp_skew3(step * w01, step * w02, step * w12)
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = r = (
+            r00 * e00 + r01 * e10 + r02 * e20, r00 * e01 + r01 * e11 + r02 * e21,
+            r00 * e02 + r01 * e12 + r02 * e22, r10 * e00 + r11 * e10 + r12 * e20,
+            r10 * e01 + r11 * e11 + r12 * e21, r10 * e02 + r11 * e12 + r12 * e22,
+            r20 * e00 + r21 * e10 + r22 * e20, r20 * e01 + r21 * e11 + r22 * e21,
+            r20 * e02 + r21 * e12 + r22 * e22,
+        )  # fmt: skip
+        k += 1
+    return k
+
+
+def _shear_field(x00, x01, x02, x10, x11, x12, x20, x21, x22):
+    """Upper entries of -A = -skew(X^2) / 2 and the energy ||sym X||^2."""
+    return (
+        (x10 * x00 + x11 * x10 + x12 * x20 - (x00 * x01 + x01 * x11 + x02 * x21)) / 4.0,
+        (x20 * x00 + x21 * x10 + x22 * x20 - (x00 * x02 + x01 * x12 + x02 * x22)) / 4.0,
+        (x20 * x01 + x21 * x11 + x22 * x21 - (x10 * x02 + x11 * x12 + x12 * x22)) / 4.0,
+        x00 * x00 + x11 * x11 + x22 * x22
+        + ((x01 + x10) * (x01 + x10) + (x02 + x20) * (x02 + x20) + (x12 + x21) * (x12 + x21)) / 2.0,
+    )  # fmt: skip
+
+
+def _biot_field(x00, x01, x02, x10, x11, x12, x20, x21, x22):
+    """Upper entries of skew(R^T D) and the Biot energy ||X||^2 / 2."""
+    return (
+        (x01 - x10) / 2.0,
+        (x02 - x20) / 2.0,
+        (x12 - x21) / 2.0,
+        (x00 * x00 + x01 * x01 + x02 * x02 + x10 * x10 + x11 * x11
+         + x12 * x12 + x20 * x20 + x21 * x21 + x22 * x22) / 2.0,
+    )  # fmt: skip
+
+
+def _integrate(r, dv, rhs, energy_fn, field3, step, t_end, gtol):
+    """Lie-Euler steps R <- R exp(step * rhs(R)) from a checked ``_start``.
+
+    At n <= 3 ``_small_steps`` runs them with ``field3``; above, numpy
+    kernels that skip validation and one ``exp_skew_batch`` per step.
+    """
     if not (0 < step < np.inf and t_end >= 0 and np.isfinite(float(t_end) / float(step))):
         raise RpolarError(
             "step must be positive and finite, t_end non-negative and t_end / step finite"
@@ -296,31 +412,26 @@ def _integrate(r, dv, rhs, energy_fn, step, t_end, gtol):
         raise TooLarge(
             f"{n_steps + 1} states of {dv.size}x{dv.size} exceed {MAX_OUTPUT_ENTRIES} entries"
         )
-    with np.errstate(over="ignore"):
-        scale = 1.0 + float(dv @ dv)
-    # on SO(n) energies and gradient entries stay below 4 (||D||^2 + n)
-    if not np.isfinite(8.0 * (scale + dv.size)):
-        raise Degenerate("||D||^2 is too large: flow energies could overflow")
     # an energy of size ||D||^2 is resolved only to about eps * ||D||^2
-    allowance = 1e-9 + 8.0 * np.finfo(float).eps * scale
+    allowance = 1e-9 + 8.0 * np.finfo(float).eps * _energy_scale(dv)
     states = np.empty((n_steps + 1, dv.size, dv.size))
     energies = np.empty(n_steps + 1)
     states[0] = r
-    energies[0] = energy_fn(r)
-    k = 0
-    while k < n_steps:
-        a = rhs(states[k])
-        if gtol is not None and np.linalg.norm(a) <= gtol:
-            break
-        np.matmul(states[k], exp_skew_batch(step * a), out=states[k + 1])
-        e = energy_fn(states[k + 1])
-        if e > energies[k] + allowance:
-            raise StepTooLarge(
-                f"energy increased by {e - energies[k]:.3e} at t = "
-                f"{(k + 1) * step:g}; halve the step size"
-            )
-        energies[k + 1] = e
-        k += 1
+    if dv.size <= 3:
+        k = _small_steps(r, dv, field3, step, states, energies, gtol, allowance)
+    else:
+        energies[0] = energy_fn(r)
+        k = 0
+        while k < n_steps:
+            a = rhs(states[k])
+            if gtol is not None and np.linalg.norm(a) <= gtol:
+                break
+            np.matmul(states[k], exp_skew_batch(step * a), out=states[k + 1])
+            e = energy_fn(states[k + 1])
+            if e > energies[k] + allowance:
+                raise _step_too_large(e - energies[k], (k + 1) * step)
+            energies[k + 1] = e
+            k += 1
     return FlowTrajectory(
         times=step * np.arange(k + 1),
         states=states[: k + 1],
@@ -354,6 +465,7 @@ def integrate_flow(r0, d, step: float, t_end: float, gtol=None) -> FlowTrajector
         dv,
         rhs=lambda r: -_grad_batch(r, dv),
         energy_fn=lambda r: float(_energy_batch(r, dv)),
+        field3=_shear_field,
         step=step,
         t_end=t_end,
         gtol=gtol,
@@ -379,4 +491,4 @@ def biot_flow(r0, d, step: float, t_end: float, gtol=None) -> FlowTrajectory:
         x = r * dv[None, :] - np.eye(dv.size)
         return 0.5 * float(np.sum(x * x))
 
-    return _integrate(r0, dv, rhs, energy_fn, step, t_end, gtol)
+    return _integrate(r0, dv, rhs, energy_fn, _biot_field, step, t_end, gtol)

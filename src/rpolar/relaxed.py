@@ -241,7 +241,7 @@ def rpolar_diag(d) -> MinimizerSet:
         if scale == 0.0 or np.any(np.abs(dv) <= RANK_TOL * scale):
             raise DegenerateD("diagonal entries must be nonzero")
         sums = dv[:, None] + dv[None, :]
-        np.fill_diagonal(sums, 1.0)  # d_i + d_i = 2 d_i != 0 already checked
+        np.fill_diagonal(sums, np.inf)  # d_i + d_i = 2 d_i != 0 already checked
         if np.any(np.abs(sums) <= RANK_TOL * scale):
             raise DegenerateD("diagonal entries must not cancel additively")
         signs = np.where(dv > 0, 1.0, -1.0)

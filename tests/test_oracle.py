@@ -11,7 +11,8 @@ from rpolar.errors import (
     StepTooLarge,
     TooLarge,
 )
-from rpolar.oracle import _grad_batch, _jacobian_batch
+from rpolar.linalg import exp_skew_batch
+from rpolar.oracle import _exp_skew3, _grad_batch, _jacobian_batch
 
 RNG = np.random.default_rng(1618)
 
@@ -407,10 +408,11 @@ class TestFlowValidation:
     # 5e13 states of 2x2; 2^22 + 1 states of 2x2, one over the bound
     @pytest.mark.parametrize("step, t_end", [(0.02, 1e12), (1.0, 2.0**22)])
     def test_state_count_bounded_before_stepping(self, flow, monkeypatch, step, t_end):
-        def no_steps(a):
+        def no_steps(*a):
             raise AssertionError("stepped before the bound was checked")
 
         monkeypatch.setattr(rp.oracle, "exp_skew_batch", no_steps)
+        monkeypatch.setattr(rp.oracle, "_exp_skew3", no_steps)
         with pytest.raises(TooLarge):
             flow(np.eye(2), [3.0, 1.0], step=step, t_end=t_end)
 
@@ -430,3 +432,151 @@ class TestFlowValidation:
         traj = flow(r0, [3.0, 1.0], step=0.1, t_end=1.0)
         r0[0, 0] = 5.0
         np.testing.assert_array_equal(traj.states[0], planar(0.3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: rp.brute_force_min(d, n_starts=5),
+        lambda d: rp.descend(np.eye(3), d),
+        lambda d: rp.integrate_flow(np.eye(3), d, step=0.02, t_end=1.0),
+        lambda d: rp.biot_flow(np.eye(3), d, step=0.02, t_end=1.0),
+    ],
+    ids=["brute_force_min", "descend", "integrate_flow", "biot_flow"],
+)
+def test_overflowing_energies_rejected_up_front(call):
+    # finite D whose energies overflow: refused before any start or step
+    with pytest.raises(Degenerate, match="overflow"):
+        call([1e200, 1.0, 0.5])
+
+
+def skew3(p, q, s):
+    return np.array([[0.0, p, q], [-p, 0.0, s], [-q, -s, 0.0]])
+
+
+class TestClosedFormExponential:
+    """``_exp_skew3`` against the complex-eigh ``exp_skew_batch``.
+
+    The two differ by rounding only; entrywise 4e-15 leaves room for the
+    eigh's own error, which reaches about 1.7e-15 on random input.
+    """
+
+    ANGLES = [0.0, 1e-300, 1e-12, 1e-5, 1e-4, 1.0, np.pi - 1e-6, np.pi]
+
+    def check(self, e, ref):
+        assert np.max(np.abs(e - ref)) <= 4e-15
+        assert rp.frob_norm(e.T @ e - np.eye(e.shape[0])) <= 4e-15
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_rodrigues_at_angle(self, angle):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            axis = rng.standard_normal(3)
+            p, q, s = angle * axis / np.linalg.norm(axis)
+            e = np.array(_exp_skew3(p, q, s)).reshape(3, 3)
+            self.check(e, exp_skew_batch(skew3(p, q, s)))
+
+    @pytest.mark.parametrize("angle", ANGLES)
+    def test_planar_at_angle(self, angle):
+        for p in (angle, -angle):
+            e = np.array(_exp_skew3(p, 0.0, 0.0)).reshape(3, 3)
+            np.testing.assert_array_equal(e[2], [0.0, 0.0, 1.0])
+            np.testing.assert_array_equal(e[:2, 2], [0.0, 0.0])
+            self.check(e[:2, :2], exp_skew_batch(np.array([[0.0, p], [-p, 0.0]])))
+
+    def test_random_skew(self):
+        rng = np.random.default_rng(6)
+        for _ in range(2000):
+            p, q, s = rng.uniform(-2.0, 2.0, 3)
+            e = np.array(_exp_skew3(p, q, s)).reshape(3, 3)
+            self.check(e, exp_skew_batch(skew3(p, q, s)))
+
+    def test_overflowing_angle_raises(self):
+        with pytest.raises(StepTooLarge):
+            _exp_skew3(np.inf, 0.0, 0.0)
+
+
+def flow_energy(r, d, kind):
+    if kind == "flow":
+        return rp.energy(r, d)
+    return 0.5 * rp.frob_norm_sq(r @ np.diag(d) - np.eye(len(d)))
+
+
+def reference_flow(r0, d, kind, step, t_end, gtol=None):
+    """Lie-Euler steps R @ exp_skew_batch(step * rhs(R)) with the energy
+    check of the flows, written with numpy as the flows run at n >= 4."""
+    d = np.asarray(d, dtype=float)
+
+    def rhs(r):
+        return -rp.riemannian_gradient(r, d) if kind == "flow" else rp.skew(r.T @ np.diag(d))
+
+    def energy(r):
+        return flow_energy(r, d, kind)
+
+    allowance = 1e-9 + 8.0 * np.finfo(float).eps * (1.0 + float(d @ d))
+    states, energies = [r0], [energy(r0)]
+    for _ in range(int(round(t_end / step))):
+        a = rhs(states[-1])
+        if gtol is not None and np.linalg.norm(a) <= gtol:
+            break
+        states.append(states[-1] @ exp_skew_batch(step * a))
+        energies.append(energy(states[-1]))
+        if energies[-1] > energies[-2] + allowance:
+            raise StepTooLarge("energy increased")
+    return np.array(states), np.array(energies)
+
+
+FLOWS = {"flow": rp.integrate_flow, "biot": rp.biot_flow}
+
+
+@pytest.mark.parametrize("kind", ["flow", "biot"])
+class TestSmallFlowsMatchReference:
+    """At n <= 3 the flows step on Python floats; a numpy loop pins them.
+
+    The numpy loop's exponential drifts off SO(n) by about 1e-15 per step
+    and the closed forms do not, so the two part slowly; 500 steps keep
+    that drift well below the 1e-12 compared.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_seeded_trajectories(self, kind, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(5):
+            d = separated_strict(rng, n) if n > 1 else rng.uniform(0.2, 3.5, 1)
+            if kind == "flow":
+                r0 = rp.random_rotation(n, rng)
+            else:
+                r0 = rp.exp_skew(rp.skew(rng.standard_normal((n, n))), scale=0.2)
+            ref_states, ref_energies = reference_flow(r0, d, kind, 0.02, 10.0, gtol=1e-8)
+            traj = FLOWS[kind](r0, d, step=0.02, t_end=10.0, gtol=1e-8)
+            assert traj.states.shape == ref_states.shape
+            assert np.max(np.abs(traj.states - ref_states)) <= 1e-12
+            scale = 1.0 + float(np.sum(d * d))
+            assert np.max(np.abs(traj.energies - ref_energies)) <= 1e-10 * scale
+            # recorded energies are the energies of the stored states
+            own = [flow_energy(r, d, kind) for r in traj.states]
+            assert np.max(np.abs(traj.energies - own)) <= 1e-10 * scale
+
+    def test_step_too_large_on_the_same_input(self, kind):
+        with pytest.raises(StepTooLarge):
+            reference_flow(planar(0.3), [3.0, 1.0], kind, 5.0, 50.0)
+        with pytest.raises(StepTooLarge):
+            FLOWS[kind](planar(0.3), [3.0, 1.0], step=5.0, t_end=50.0)
+
+    def test_large_d_matches(self, kind):
+        d = np.array([1e4, 1.0, 0.5])
+        step = 0.5 / float(d @ d)
+        r0 = rp.exp_skew(rp.skew(np.arange(9.0).reshape(3, 3)), scale=1e-3)
+        ref_states, _ = reference_flow(r0, d, kind, step, 50 * step)
+        traj = FLOWS[kind](r0, d, step=step, t_end=50 * step)
+        assert np.max(np.abs(traj.states - ref_states)) <= 1e-12
+
+
+def test_n4_flows_keep_the_numpy_path(monkeypatch):
+    # above n = 3 every step is one exp_skew_batch call, as before
+    calls = []
+    monkeypatch.setattr(rp.oracle, "exp_skew_batch", lambda a: calls.append(1) or exp_skew_batch(a))
+    d = [3.0, 2.0, 1.0, 0.5]
+    traj = rp.integrate_flow(rp.random_rotation(4, 3), d, step=0.02, t_end=1.0)
+    assert len(calls) == len(traj.times) - 1 == 50

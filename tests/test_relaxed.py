@@ -485,6 +485,15 @@ class TestReflectNegative:
         with pytest.raises(DegenerateD):
             rp.rpolar_diag([2.0, -3.0, 1.0])
 
+    @pytest.mark.parametrize("scale", [1e11, 1e12, 1e100])
+    def test_huge_signed_entries(self, scale):
+        # the pair-sum test must not compare the diagonal's own placeholder
+        ms = rp.rpolar_diag([-2.0 * scale, -3.0 * scale])
+        assert "reflected" in ms.flags
+        assert ms.reduced_energy == rp.rpolar_diag([2.0 * scale, 3.0 * scale]).reduced_energy
+        with pytest.raises(DegenerateD, match="cancel"):
+            rp.rpolar_diag([2.0 * scale, -2.0 * scale, -scale])
+
 
 def _spectrum(rng, n, k):
     """Descending values with exactly k leading pairs, 0.2 from the boundary."""
