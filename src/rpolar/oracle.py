@@ -416,10 +416,10 @@ def _integrate(r, dv, rhs, energy_fn, field3, step, t_end, gtol):
     allowance = 1e-9 + 8.0 * np.finfo(float).eps * _energy_scale(dv)
     states = np.empty((n_steps + 1, dv.size, dv.size))
     energies = np.empty(n_steps + 1)
-    states[0] = r
     if dv.size <= 3:
         k = _small_steps(r, dv, field3, step, states, energies, gtol, allowance)
     else:
+        states[0] = r
         energies[0] = energy_fn(r)
         k = 0
         while k < n_steps:
@@ -454,7 +454,8 @@ def integrate_flow(r0, d, step: float, t_end: float, gtol=None) -> FlowTrajector
     Raises
     ------
     StepTooLarge
-        If a step increases the energy by more than 1e-9 + 8 eps (1 + ||D||^2).
+        If a step increases the energy by more than 1e-9 + 8 eps (1 + ||D||^2),
+        or its rotation angle overflows.
     TooLarge
         If the (t_end / step + 1) states would hold more than
         ``MAX_OUTPUT_ENTRIES`` entries; checked before the first step.
