@@ -340,7 +340,7 @@ def _small_steps(r, dv, field3, step, states, energies, gtol, allowance) -> int:
     so one product per step serves the step, the ``gtol`` stop and the
     energy check.  States and energies go into the given arrays.
     """
-    n = dv.size
+    n, step, allowance = dv.size, float(step), float(allowance)
     pad = np.eye(3)
     pad[:n, :n] = r
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = r = tuple(pad.ravel().tolist())
