@@ -5,6 +5,9 @@ globally minimize W(R; D) = ||sym(R D - I)||_F^2 for positive diagonal D,
 together with the full critical-point classification, the constructive
 block-diagonalization of matrices with symmetric squares, and an
 independent multistart/gradient-flow verification oracle.
+
+``__all__`` is the public API; the submodules and underscore names are
+internal.
 """
 
 __version__ = "0.1.0"
@@ -13,7 +16,6 @@ from .blockdiag import (
     Block,
     BlockDecomposition,
     block_diagonalize,
-    eigsplit_symmetric,
     is_symmetric_square,
     scalar_square_blocks,
 )
@@ -52,12 +54,9 @@ from .linalg import (
     PolarFactors,
     as_rotation,
     exp_skew,
-    frob_inner,
     frob_norm,
     frob_norm_sq,
-    is_rotation,
     polar_decompose,
-    project_rotation,
     random_rotation,
     skew,
     sym,
@@ -83,4 +82,26 @@ from .relaxed import (
     scheme_minimize,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # closed-form minimizers
+    "rpolar_diag", "rpolar_full", "rpolar_classical", "optimal_k", "scheme_minimize",
+    "MinimizerSet", "SchemeStep", "SchemeTrace",
+    # energies and the critical-point classification
+    "energy", "energy_weighted", "critical_value", "enumerate_critical", "realize",
+    "is_critical", "stationarity_defect", "as_diag",
+    "DiagParams", "CriticalPoint", "PartitionLabel", "SubsetLabel",
+    # block-diagonalization of matrices with symmetric squares
+    "block_diagonalize", "scalar_square_blocks", "is_symmetric_square",
+    "Block", "BlockDecomposition",
+    # verification oracle
+    "brute_force_min", "descend", "integrate_flow", "biot_flow", "riemannian_gradient",
+    "DescentReport", "DescentResult", "FlowTrajectory",
+    # dense matrix helpers
+    "sym", "skew", "frob_norm", "frob_norm_sq", "as_rotation", "exp_skew",
+    "random_rotation", "polar_decompose", "PolarFactors",
+    # errors and warnings
+    "RpolarError", "Degenerate", "DegenerateD", "DimensionMismatch", "InfeasibleLabel",
+    "InvalidWeights", "NonClassicalRange", "NonInvertibleOrReflective", "NotLambdaSquare",
+    "NotSkew", "NotSymmetricSquare", "StepTooLarge", "TooLarge",
+    "NonIsolatedWarning", "TiesNotStrictWarning",
+]  # fmt: skip

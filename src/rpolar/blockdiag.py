@@ -107,18 +107,6 @@ def _square_is_symmetric(sq: np.ndarray, norm_sq: float, unit: float) -> bool:
     return float(np.linalg.norm((sq - sq.T) / 2.0)) <= TOL_BLOCK * (unit + norm_sq)
 
 
-def eigsplit_symmetric(s) -> list[tuple[float, np.ndarray]]:
-    """Clustered eigendecomposition of a symmetric matrix.
-
-    Eigenvalues closer than ``CLUSTER_GAP * max|eigenvalue|`` are merged
-    into one cluster.  Returns (eigenvalue, orthonormal basis) pairs sorted
-    by eigenvalue descending; the bases are mutually orthonormal and
-    together span R^n.
-    """
-    v, lams, starts, dims = _eigsplit(as_matrix(s), 0.0)
-    return [(float(lam), v[:, a : a + d]) for lam, a, d in zip(lams, starts, dims)]
-
-
 def _eigsplit(s: np.ndarray, floor: float):
     """Eigenvectors v of sym(s) and its clusters, eigenvalue descending.
 

@@ -81,15 +81,6 @@ class DiagParams:
     def n(self) -> int:
         return int(self.d.size)
 
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.d)
-
-    def perm_matrix(self) -> np.ndarray:
-        """P with P @ (sorted-frame vector) in user frame: P[order[s], s] = 1."""
-        p = np.zeros((self.n, self.n))
-        p[self.order, np.arange(self.n)] = 1.0
-        return p
-
 
 def _finite_values(values) -> np.ndarray:
     """``values`` as a float vector, checked non-empty and finite."""

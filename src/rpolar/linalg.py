@@ -1,6 +1,6 @@
 """Small dense real matrix kernel.
 
-Symmetric/skew splitting, Frobenius inner products, SVD-based polar
+Symmetric/skew splitting, Frobenius norms, SVD-based polar
 decomposition, the exponential map on skew-symmetric matrices and Haar
 rotation sampling.  Everything operates on plain ``numpy`` arrays; the
 functions here are pure and never mutate their inputs.
@@ -20,11 +20,8 @@ from .errors import (
     RpolarError,
 )
 
-# Absolute Frobenius tolerances for manifold membership at n up to a few
-# hundred in double precision.
-TOL_ORTH = 1e-10
+# Absolute Frobenius tolerance of exp_skew's skew-symmetry check.
 TOL_SYM = 1e-10
-TOL_DET = 1e-10
 
 # Drift beyond which a would-be rotation is rejected instead of re-projected.
 MAX_ROTATION_DRIFT = 1e-8
@@ -61,55 +58,22 @@ def skew(x) -> np.ndarray:
     return (m - m.T) / 2.0
 
 
-def frob_inner(x, y) -> float:
-    """Frobenius inner product tr(x^T y) = sum_ij x_ij y_ij."""
-    a = as_matrix(x)
-    b = as_matrix(y)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.sum(a * b))
-
-
 def frob_norm(x) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(np.asarray(x, dtype=float)))
 
 
 def frob_norm_sq(x) -> float:
-    """Squared Frobenius norm, frob_inner(x, x)."""
+    """Squared Frobenius norm, the sum of the squared entries."""
     a = np.asarray(x, dtype=float)
     return float(np.sum(a * a))
 
 
-def orthogonality_defect(r) -> float:
-    """||R^T R - I||_F, zero exactly on the orthogonal group."""
-    m = np.asarray(r, dtype=float)
-    n = m.shape[-1]
-    return float(np.linalg.norm(m.T @ m - np.eye(n)))
-
-
-def is_rotation(r, tol: float = TOL_ORTH) -> bool:
-    """Check orthogonality within ``tol`` and det = +1 within ``TOL_DET``."""
-    m = np.asarray(r, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    if orthogonality_defect(m) > tol:
-        return False
-    return abs(np.linalg.det(m) - 1.0) <= max(TOL_DET, 10 * tol)
-
-
-def project_rotation(m) -> np.ndarray:
-    """Nearest rotation in Frobenius distance (polar projection via SVD).
-
-    Requires det(m) > 0; the projection of an orientation-reversing matrix
-    would land in the other component of the orthogonal group.
-    """
-    a = as_matrix(m)
+def _project(a: np.ndarray) -> np.ndarray:
+    """Nearest orthogonal matrices U V^T to a batch (..., n, n) of finite
+    matrices, by SVD; rotations where det > 0, which callers ensure."""
     u, _, vh = np.linalg.svd(a)
-    r = u @ vh
-    if np.linalg.det(r) < 0:
-        raise NonInvertibleOrReflective("cannot project a reflective matrix onto SO(n)")
-    return r
+    return u @ vh
 
 
 def as_rotation(m) -> np.ndarray:
@@ -121,14 +85,14 @@ def as_rotation(m) -> np.ndarray:
     """
     a = as_matrix(m)
     if _rotation_drift(a) > 1e-15:
-        a = project_rotation(a)
+        a = _project(a)
     return a
 
 
 def _rotation_drift(a: np.ndarray) -> float:
     """Orthogonality defect of a checked square matrix that ``as_rotation``
     accepts; raises as it does otherwise."""
-    defect = orthogonality_defect(a)
+    defect = float(np.linalg.norm(a.T @ a - np.eye(a.shape[0])))
     if defect > MAX_ROTATION_DRIFT:
         raise RpolarError(f"orthogonality drift {defect:.3e} exceeds {MAX_ROTATION_DRIFT:.1e}")
     if np.linalg.det(a) <= 0:
@@ -215,7 +179,10 @@ def exp_skew(a, scale: float = 1.0) -> np.ndarray:
     NotSkew
         If ||A + A^T||_F exceeds ``TOL_SYM``.
     Degenerate
-        If ``scale`` is not finite.
+        If ``scale`` or the exponential is not finite.
+    NonInvertibleOrReflective
+        If the angles are so large that the rounded exponential projects
+        onto a reflection.
     """
     m = as_matrix(a)
     if frob_norm(m + m.T) > TOL_SYM:
@@ -223,8 +190,10 @@ def exp_skew(a, scale: float = 1.0) -> np.ndarray:
     if not np.isfinite(scale):
         raise Degenerate("scale must be finite")
     m = (m - m.T) / 2.0
-    r = exp_skew_batch(scale * m)
-    return project_rotation(r)
+    r = _project(as_matrix(exp_skew_batch(scale * m)))
+    if np.linalg.det(r) < 0:
+        raise NonInvertibleOrReflective("cannot project a reflective matrix onto SO(n)")
+    return r
 
 
 def _resolve_rng(seed) -> np.random.Generator:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .critical import _checked, _energy_batch, _finite_values, _grad_batch
 from .errors import Degenerate, RpolarError, StepTooLarge, TooLarge
-from .linalg import MAX_OUTPUT_ENTRIES, _rotation_drift, exp_skew_batch, haar_rotations
+from .linalg import MAX_OUTPUT_ENTRIES, _project, _rotation_drift, exp_skew_batch, haar_rotations
 
 GTOL = 1e-9
 MAX_ITER = 2000
@@ -108,11 +108,6 @@ def _start(r0, d) -> tuple[np.ndarray, np.ndarray]:
     return r, dv
 
 
-def _project_batch(r: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(r)
-    return u @ vh
-
-
 def _jacobian_batch(r: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """Jacobian of the body-frame gradient, one p x p matrix per rotation.
 
@@ -136,6 +131,13 @@ def _jacobian_batch(r: np.ndarray, dv: np.ndarray) -> np.ndarray:
         # entry (a, b) of B M X + X B M for B = E_ce, the matrix unit
         jac += sign * (x[:, a, c] * m[:, e, b] + (a == c) * mx[:, e, b])
     return jac
+
+
+def _grad_norm(r: np.ndarray, dv: np.ndarray, unit: float) -> np.ndarray:
+    """||A(R)||_F of each rotation, squared on A / unit: ``unit`` is a power
+    of two near 1 + ||D||^2, so the scaling is exact and the squares of
+    gradient entries of size ||D||^2 stay finite."""
+    return np.linalg.norm(_grad_batch(r, dv) / unit, axis=(-2, -1)) * unit
 
 
 def _descend_batch(r0: np.ndarray, dv: np.ndarray, gtol: float, max_iter: int):
@@ -165,9 +167,11 @@ def _descend_batch(r0: np.ndarray, dv: np.ndarray, gtol: float, max_iter: int):
     diag = np.arange(iu.size)
     rcond = iu.size * np.finfo(float).eps
     eye_n = np.eye(n)
-    polish_gn = max(POLISH_GN, 1e-7 * (1.0 + float(dv @ dv)))
+    scale = 1.0 + float(dv @ dv)
+    polish_gn = max(POLISH_GN, 1e-7 * scale)
+    unit = math.ldexp(1.0, math.frexp(scale)[1] - 1)
     e = _energy_batch(r, dv)
-    gn = np.linalg.norm(_grad_batch(r, dv), axis=(-2, -1))
+    gn = _grad_norm(r, dv, unit)
     active = gn > gtol
     iters = np.zeros(nb, dtype=int)
 
@@ -200,7 +204,7 @@ def _descend_batch(r0: np.ndarray, dv: np.ndarray, gtol: float, max_iter: int):
             half[:, ju, iu] = -half[:, iu, ju]
             trial = ri[pending] @ np.linalg.solve(eye_n - half, eye_n + half)
             e_trial = _energy_batch(trial, dv)
-            gn_trial = np.linalg.norm(_grad_batch(trial, dv), axis=(-2, -1))
+            gn_trial = _grad_norm(trial, dv, unit)
             ok = np.where(
                 polish[pending],
                 gn_trial < gn[sub],
@@ -217,9 +221,9 @@ def _descend_batch(r0: np.ndarray, dv: np.ndarray, gtol: float, max_iter: int):
         active[idx[pending]] = False
         active[idx] &= gn[idx] > gtol
 
-    r = _project_batch(r)
+    r = _project(r)
     e = _energy_batch(r, dv)
-    gnorm_final = np.linalg.norm(_grad_batch(r, dv), axis=(-2, -1))
+    gnorm_final = _grad_norm(r, dv, unit)
     converged = gnorm_final <= gtol
     return r, e, converged, iters, gnorm_final
 
@@ -375,7 +379,7 @@ def _small_steps(r, dv, field3, step, states, energies, gtol, allowance) -> int:
     return k
 
 
-def _shear_field(x00, x01, x02, x10, x11, x12, x20, x21, x22):
+def _shear_field3(x00, x01, x02, x10, x11, x12, x20, x21, x22):
     """Upper entries of -A = -skew(X^2) / 2 and the energy ||sym X||^2."""
     return (
         (x10 * x00 + x11 * x10 + x12 * x20 - (x00 * x01 + x01 * x11 + x02 * x21)) / 4.0,
@@ -386,7 +390,7 @@ def _shear_field(x00, x01, x02, x10, x11, x12, x20, x21, x22):
     )  # fmt: skip
 
 
-def _biot_field(x00, x01, x02, x10, x11, x12, x20, x21, x22):
+def _biot_field3(x00, x01, x02, x10, x11, x12, x20, x21, x22):
     """Upper entries of skew(R^T D) and the Biot energy ||X||^2 / 2."""
     return (
         (x01 - x10) / 2.0,
@@ -397,11 +401,25 @@ def _biot_field(x00, x01, x02, x10, x11, x12, x20, x21, x22):
     )  # fmt: skip
 
 
-def _integrate(r, dv, rhs, energy_fn, field3, step, t_end, gtol):
-    """Lie-Euler steps R <- R exp(step * rhs(R)) from a checked ``_start``.
+def _shear_field(x):
+    """-A = -skew(X^2) / 2 and the energy ||sym X||^2 from X = R^T D - I."""
+    xx = x @ x
+    s = (x + x.T) / 2.0
+    return (xx.T - xx) / 4.0, float(np.sum(s * s))
 
-    At n <= 3 ``_small_steps`` runs them with ``field3``; above, numpy
-    kernels that skip validation and one ``exp_skew_batch`` per step.
+
+def _biot_field(x):
+    """skew(R^T D) and the Biot energy ||X||^2 / 2 from X = R^T D - I."""
+    return (x - x.T) / 2.0, 0.5 * float(np.sum(x * x))
+
+
+def _integrate(r, dv, field, field3, step, t_end, gtol):
+    """Lie-Euler steps R <- R exp(step * rhs) from a checked ``_start``.
+
+    The rhs and the energy come from X = R^T D - I: at n <= 3
+    ``_small_steps`` runs the steps with ``field3``; above, the loop below
+    runs them in the same order with ``field`` and one ``exp_skew_batch``
+    per step.
     """
     if not (0 < step < np.inf and t_end >= 0 and np.isfinite(float(t_end) / float(step))):
         raise RpolarError(
@@ -419,18 +437,17 @@ def _integrate(r, dv, rhs, energy_fn, field3, step, t_end, gtol):
     if dv.size <= 3:
         k = _small_steps(r, dv, field3, step, states, energies, gtol, allowance)
     else:
+        eye = np.eye(dv.size)
         states[0] = r
-        energies[0] = energy_fn(r)
         k = 0
-        while k < n_steps:
-            a = rhs(states[k])
-            if gtol is not None and np.linalg.norm(a) <= gtol:
+        while True:
+            a, e = field(states[k].T * dv[None, :] - eye)
+            if k and e > e_prev + allowance:
+                raise _step_too_large(e - e_prev, k * step)
+            energies[k] = e_prev = e
+            if k == n_steps or (gtol is not None and np.linalg.norm(a) <= gtol):
                 break
             np.matmul(states[k], exp_skew_batch(step * a), out=states[k + 1])
-            e = energy_fn(states[k + 1])
-            if e > energies[k] + allowance:
-                raise _step_too_large(e - energies[k], (k + 1) * step)
-            energies[k + 1] = e
             k += 1
     return FlowTrajectory(
         times=step * np.arange(k + 1),
@@ -461,16 +478,7 @@ def integrate_flow(r0, d, step: float, t_end: float, gtol=None) -> FlowTrajector
         ``MAX_OUTPUT_ENTRIES`` entries; checked before the first step.
     """
     r0, dv = _start(r0, d)
-    return _integrate(
-        r0,
-        dv,
-        rhs=lambda r: -_grad_batch(r, dv),
-        energy_fn=lambda r: float(_energy_batch(r, dv)),
-        field3=_shear_field,
-        step=step,
-        t_end=t_end,
-        gtol=gtol,
-    )
+    return _integrate(r0, dv, _shear_field, _shear_field3, step, t_end, gtol)
 
 
 def biot_flow(r0, d, step: float, t_end: float, gtol=None) -> FlowTrajectory:
@@ -483,13 +491,4 @@ def biot_flow(r0, d, step: float, t_end: float, gtol=None) -> FlowTrajectory:
     and the start must be a rotation as for ``integrate_flow``.
     """
     r0, dv = _start(r0, d)
-
-    def rhs(r):
-        m = r.T * dv[None, :]
-        return (m - m.T) / 2.0
-
-    def energy_fn(r):
-        x = r * dv[None, :] - np.eye(dv.size)
-        return 0.5 * float(np.sum(x * x))
-
-    return _integrate(r0, dv, rhs, energy_fn, _biot_field, step, t_end, gtol)
+    return _integrate(r0, dv, _biot_field, _biot_field3, step, t_end, gtol)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rpolar as rp
+from rpolar.blockdiag import _eigsplit
 from rpolar.errors import Degenerate, NotLambdaSquare, NotSymmetricSquare
 from util import (
     random_symmetric_square,
@@ -107,28 +108,34 @@ class TestIsSymmetricSquare:
         assert rp.is_symmetric_square([[1e160, 1e160], [0.0, 1.0]]) is False
 
 
+def eigsplit(s):
+    """The clusters of ``_eigsplit`` as (eigenvalue, basis) pairs."""
+    v, lams, starts, dims = _eigsplit(s, 0.0)
+    return [(float(lam), v[:, a : a + d]) for lam, a, d in zip(lams, starts, dims)]
+
+
 class TestEigsplit:
     def test_identity_single_cluster(self):
-        clusters = rp.eigsplit_symmetric(np.eye(3))
+        clusters = eigsplit(np.eye(3))
         assert len(clusters) == 1
         lam, basis = clusters[0]
         assert lam == pytest.approx(1.0)
         assert basis.shape == (3, 3)
 
     def test_exact_repeats(self):
-        clusters = rp.eigsplit_symmetric(np.diag([4.0, 4.0, 1.0]))
+        clusters = eigsplit(np.diag([4.0, 4.0, 1.0]))
         assert [(round(lam, 12), b.shape[1]) for lam, b in clusters] == [(4.0, 2), (1.0, 1)]
 
     def test_worked_square_is_identity(self):
         s = WORKED_Y @ WORKED_Y
         np.testing.assert_allclose(s, np.eye(4), atol=1e-14)
-        clusters = rp.eigsplit_symmetric(s)
+        clusters = eigsplit(s)
         assert len(clusters) == 1
         assert clusters[0][1].shape == (4, 4)
 
     def test_bases_orthonormal_and_spanning(self):
         s = rp.sym(RNG.standard_normal((6, 6)))
-        clusters = rp.eigsplit_symmetric(s)
+        clusters = eigsplit(s)
         full = np.hstack([b for _, b in clusters])
         assert full.shape == (6, 6)
         np.testing.assert_allclose(full.T @ full, np.eye(6), atol=1e-12)

@@ -23,7 +23,7 @@ from rpolar.errors import (
     NonIsolatedWarning,
     TooLarge,
 )
-from util import random_realizable_label, reference_labels
+from util import is_rotation, random_realizable_label, reference_labels
 
 RNG = np.random.default_rng(314159)
 
@@ -48,10 +48,10 @@ class TestDiagParams:
         p = DiagParams.from_values([1.0, 4.0, 2.0])
         np.testing.assert_array_equal(p.sorted_d, [4.0, 2.0, 1.0])
         assert p.strict
-        # perm matrix maps the sorted frame back to the user frame
-        np.testing.assert_array_equal(
-            p.perm_matrix() @ np.diag(p.sorted_d) @ p.perm_matrix().T, p.matrix()
-        )
+        # the permutation P[order[s], s] = 1 maps the sorted frame back to
+        # the user frame
+        perm = np.eye(3)[:, p.order]
+        np.testing.assert_array_equal(perm @ np.diag(p.sorted_d) @ perm.T, np.diag(p.d))
 
     def test_ties_not_strict(self):
         assert not DiagParams.from_values([2.0, 2.0, 1.0]).strict
@@ -321,7 +321,7 @@ class TestEnumerate:
             assert abs(rp.energy(p.rotation, d) - p.value) <= 1e-10 * (1 + p.value)
             assert rp.is_critical(p.rotation, d)
             assert rp.frob_norm(rp.riemannian_gradient(p.rotation, d)) <= 1e-9
-            assert rp.is_rotation(p.rotation)
+            assert is_rotation(p.rotation)
 
     def test_no_duplicates(self):
         points = list(rp.enumerate_critical([3.3, 2.4, 1.1]))

@@ -17,6 +17,16 @@ from rpolar.errors import NotLambdaSquare
 from rpolar.linalg import frob_norm, frob_norm_sq, haar_rotations, skew, sym
 
 
+def is_rotation(r, tol: float = 1e-10) -> bool:
+    """||R^T R - I||_F <= tol and det R = 1 within max(1e-10, 10 tol)."""
+    m = np.asarray(r, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    if np.linalg.norm(m.T @ m - np.eye(m.shape[0])) > tol:
+        return False
+    return abs(np.linalg.det(m) - 1.0) <= max(1e-10, 10 * tol)
+
+
 def random_trace_zero_block(rng: np.random.Generator, mu: float) -> np.ndarray:
     """2x2 matrix [[a, b], [c, -a]] with a^2 + bc = mu, so B^2 = mu * I."""
     a = rng.uniform(-2.0, 2.0)
