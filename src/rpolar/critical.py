@@ -312,6 +312,12 @@ def _pair_signs(di, dj) -> tuple[int, ...]:
     return (1, -1)
 
 
+def _block_cos_sin(di, dj, det) -> tuple[float, float]:
+    """cos a = 2 / (d_i + det d_j) and sin a = sqrt(1 - cos^2 a) of a pair's block."""
+    c = 2.0 / (di + det * dj)
+    return c, math.sqrt(max(0.0, 1.0 - c * c))
+
+
 def critical_value(label: PartitionLabel, d) -> float:
     """Critical value of a labeled partition.
 
@@ -415,8 +421,7 @@ class RotationFamily(Sequence):
         diagonal = list(diagonal)
         upper, lower = [], []
         for i, j, det in pairs:
-            c = 2.0 / (dv[i] + det * dv[j])
-            s = math.sqrt(max(0.0, 1.0 - c * c))
+            c, s = _block_cos_sin(dv[i], dv[j], det)
             diagonal[i], diagonal[j] = c, det * c
             upper.append(-det * s)
             lower.append(s)

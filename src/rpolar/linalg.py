@@ -119,6 +119,18 @@ class PolarFactors:
     singular_values: np.ndarray = field(repr=False)
 
 
+def _small_det(m: np.ndarray) -> float:
+    """Determinant of a 1x1, 2x2 or 3x3 matrix, on Python floats."""
+    rows = m.tolist()
+    if len(rows) == 1:
+        return rows[0][0]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def _svd_polar(f: np.ndarray):
     """SVD-based polar factors (v, s, wh) with degeneracy checks."""
     if f.size == 0:
@@ -126,7 +138,11 @@ def _svd_polar(f: np.ndarray):
     v, s, wh = np.linalg.svd(f)
     if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         raise Degenerate("matrix is numerically rank deficient")
-    if np.linalg.det(f) <= 0:
+    # With s > 0, det F has the sign of det V det W^T.  At n <= 3 those
+    # orthogonal factors give it without another factorization and, as
+    # their determinants are +-1, reliably even for nearly singular F; at
+    # larger n they would cost two LUs where F alone costs one.
+    if (_small_det(v) * _small_det(wh) if f.shape[0] <= 3 else np.linalg.det(f)) <= 0:
         raise NonInvertibleOrReflective("determinant must be positive")
     return v, s, wh
 

@@ -12,7 +12,9 @@ cos(a_i) = 2 / (d_{2i-1} + d_{2i}) and a free angle sign, so there are
 
 The 2^k minimizers are the critical points of that optimal label, so
 they are built on demand as its ``critical.RotationFamily`` (see
-``MinimizerSet`` for their order), and W_red is its critical value.
+``MinimizerSet`` for their order), and W_red is its critical value.  A
+full matrix of size n <= 3 has k <= 1, and its one or two minimizers are
+built directly from its SVD.
 
 Signed parameters reduce to |D| with the reflection J = diag(sign d_i):
 sym(R D - I) = sym((R J)(J D) - I), so when det J = +1 the minimizers of D
@@ -37,6 +39,7 @@ from .critical import (
     PartitionLabel,
     RotationFamily,
     SubsetLabel,
+    _block_cos_sin,
     _finite_values,
     _pair_signs,
     _subsets_label,
@@ -56,7 +59,9 @@ class MinimizerSet:
     order): ``rotations[m]`` builds one minimizer, iteration builds them
     in chunks and yields views into chunk memory that is reused only once
     no view of it is alive (a thread keeps at most two chunk buffers), and
-    ``np.stack(list(ms.rotations))`` materializes them all.  Its pairs
+    ``np.stack(list(ms.rotations))`` materializes them all.  For
+    ``rpolar_full`` at n <= 3 it is a ``_SmallRotations`` of the same
+    rotations in the same order, each read a fresh array.  Its pairs
     come in rank order, pair p holding the entries of sorted ranks 2p+1
     and 2p+2, each written larger value first, so an angle sign refers to
     that block.  ``realize(ms.label, d)`` gives the same set, but orders
@@ -166,14 +171,13 @@ def _partner_value(partner, dv) -> float:
     return total
 
 
-def _minimize(params: DiagParams, left=None, right=None) -> MinimizerSet:
-    """Minimizer set of W(.; diag(params.d)) in the frames (left, right).
+def _flags(sd: list[float], k: int) -> tuple[str, ...]:
+    """Flags of the optimal label with k leading pairs of the sorted values.
 
-    See ``critical.RotationFamily`` for the frames.  Warns, on behalf of the
-    public caller, when an active tie makes the minimizers non-isolated.
+    Warns when an active tie makes the minimizers non-isolated, pointing at
+    the caller of ``rpolar_diag`` or ``rpolar_full``, each of which calls
+    this through one helper.
     """
-    k = optimal_k(params)
-    sd = params.sorted_d.tolist()
     flags: list[str] = []
     if 2 * k + 1 < len(sd) and abs(sd[2 * k] + sd[2 * k + 1] - 2.0) <= BOUNDARY_TOL:
         flags.append("boundary_case")
@@ -188,10 +192,19 @@ def _minimize(params: DiagParams, left=None, right=None) -> MinimizerSet:
             "tied diagonal entries: global minimizers form a continuous "
             "family; returning representatives",
             TiesNotStrictWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         flags.append("non_isolated")
+    return tuple(flags)
 
+
+def _minimize(params: DiagParams, left=None, right=None) -> MinimizerSet:
+    """Minimizer set of W(.; diag(params.d)) in the frames (left, right).
+
+    See ``critical.RotationFamily`` for the frames.
+    """
+    k = optimal_k(params)
+    flags = _flags(params.sorted_d.tolist(), k)
     # the optimal label: the k leading rank pairs, each written larger value
     # first, and every subset with det +1
     order = params.order.tolist()
@@ -205,7 +218,62 @@ def _minimize(params: DiagParams, left=None, right=None) -> MinimizerSet:
         rotations=rotations,
         reduced_energy=_partner_value(partner, dv),
         cos_alphas=rotations.cosines,
-        flags=tuple(flags),
+        flags=flags,
+        _partner=partner,
+    )
+
+
+class _SmallRotations(Sequence):
+    """The one or two minimizers of an n x n matrix F = V S W^T, n <= 3.
+
+    As in ``critical.RotationFamily``, minimizer m is V C W^T plus, with
+    angle sign (-1)^m, ``delta`` = V_P O_P W^T, the leading pair's
+    off-diagonal part; without a pair it is V W^T.  Each read returns a
+    fresh array.
+    """
+
+    def __init__(self, base: np.ndarray, delta: np.ndarray | None):
+        self._base, self._delta = base, delta
+
+    def __len__(self) -> int:
+        return 1 if self._delta is None else 2
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self))[index])
+        return self._build(range(len(self))[index])
+
+    def __iter__(self):
+        return map(self._build, range(len(self)))
+
+    def _build(self, m: int) -> np.ndarray:
+        if self._delta is None:
+            return self._base.copy()
+        return self._base - self._delta if m else self._base + self._delta
+
+
+def _small_minimize(v: np.ndarray, sv: list[float], wh: np.ndarray) -> MinimizerSet:
+    """Minimizer set of F = V diag(sv) W^T, n <= 3, with sv sorted descending."""
+    n = len(sv)
+    k = 1 if n > 1 and _pair_signs(sv[0], sv[1]) else 0
+    flags = _flags(sv, k)
+    partner = _partners([(0, 1)] if k else [], range(n))
+    if k:
+        c, s = _block_cos_sin(sv[0], sv[1], 1)
+        cos_alphas = (c,)
+        # the products of RotationFamily's frame case, so that the two
+        # agree: C = diag(c, c, 1), and O_P W^T has the rows -sin a (W^T)_1
+        # and sin a (W^T)_0
+        base = (v * np.array([c, c, 1.0][:n])) @ wh
+        delta = v[:, :2] @ (wh[1::-1] * np.array([[-s], [s]]))
+    else:
+        cos_alphas, base, delta = (), v @ wh, None
+    return MinimizerSet(
+        k=k,
+        rotations=_SmallRotations(base, delta),
+        reduced_energy=_partner_value(partner, sv),
+        cos_alphas=cos_alphas,
+        flags=flags,
         _partner=partner,
     )
 
@@ -264,11 +332,14 @@ def rpolar_full(f) -> MinimizerSet:
     absolute rotation V R W^T = Q W R W^T.  The reduced energy is
     unchanged.  When F has repeated singular values the eigenbasis W is not
     unique; the returned rotations are representatives and the set is
-    flagged "non_isolated".
+    flagged "non_isolated".  At n <= 3 (so k <= 1) the set is built
+    directly from the SVD, with the same results.
     """
     v, s, wh = _svd_polar(as_matrix(f))
     # singular values come sorted, finite and positive (_svd_polar rejects
     # rank deficiency), so they need no validation or sorting
+    if s.size <= 3:
+        return _small_minimize(v, s.tolist(), wh)
     return _minimize(DiagParams(d=s, order=np.arange(s.size)), v, wh.T)
 
 

@@ -4,8 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rpolar as rp
-from rpolar.critical import BOUNDARY_TOL, PartitionLabel, SubsetLabel, _pair_signs
+from rpolar.critical import BOUNDARY_TOL, DiagParams, PartitionLabel, SubsetLabel, _pair_signs
 from rpolar.errors import (
+    Degenerate,
     DegenerateD,
     DimensionMismatch,
     InfeasibleLabel,
@@ -13,6 +14,7 @@ from rpolar.errors import (
     NonInvertibleOrReflective,
     TiesNotStrictWarning,
 )
+from rpolar.relaxed import _minimize
 from util import is_rotation, random_scheme_start
 
 RNG = np.random.default_rng(271828)
@@ -538,6 +540,32 @@ class TestLazyRotations:
                 rot[1.0]
             assert [r.tobytes() for r in rot[1:6:2]] == [rot[i].tobytes() for i in (1, 3, 5)]
 
+    def test_small_sets_indices_and_fresh_reads(self):
+        # rpolar_full's direct path at n <= 3 keeps the sequence contract
+        rng = np.random.default_rng(6)
+        for n, k in ((2, 0), (2, 1), (3, 0), (3, 1)):
+            ms = rp.rpolar_full(_full_matrix(rng, _spectrum(rng, n, k)))
+            rot, count = ms.rotations, 2**k
+            assert ms.k == k and len(rot) == count
+            want = [rot[i].tobytes() for i in range(count)]
+            for i in range(1, count + 1):
+                assert rot[-i].tobytes() == want[count - i]
+            for bad in (count, count + 1, -count - 1, 2**70, -(2**70)):
+                with pytest.raises(IndexError):
+                    rot[bad]
+            with pytest.raises(TypeError):
+                rot[1.0]
+            assert [r.tobytes() for r in rot[::-1]] == want[::-1]
+            assert [r.tobytes() for r in rot[1:]] == want[1:]
+            # writing into a returned rotation changes no later read
+            for r in rot:
+                r[...] = np.nan
+            rot[0][...] = np.nan
+            last = rot[-1]
+            last += 1.0
+            assert [r.tobytes() for r in rot] == want
+            assert [rot[i].tobytes() for i in range(count)] == want
+
     def test_iteration_matches_indexing_across_chunks(self):
         from rpolar.critical import CHUNK_BYTES
 
@@ -610,6 +638,89 @@ class TestLazyRotations:
                 assert _full_stationarity(r, f) <= 1e-9 * scale
         # minimizer 2^99 flips only the first pair's angle sign: a rank-2 change
         assert np.linalg.matrix_rank(picked[2] - picked[0]) == 2
+
+
+def _general_path(f):
+    """``rpolar_full``'s construction at n >= 4, run on the same SVD."""
+    v, s, wh = np.linalg.svd(f)
+    return _minimize(DiagParams(d=s, order=np.arange(s.size)), v, wh.T)
+
+
+def _small_inputs():
+    """Seeded F at n = 1, 2, 3 and the edge cases of the direct path."""
+    rng = np.random.default_rng(2601)
+    frames = lambda n: (np.eye(n), rp.random_rotation(n, rng))  # noqa: E731
+    for n in (1, 2, 3):
+        for lo, hi in ((1.0, 3.0), (0.2, 1.3), (0.95, 1.05), (3e-4, 3e3)):
+            for _ in range(40):
+                s = np.sort(rng.uniform(lo, hi, n))[::-1]
+                yield rp.random_rotation(n, rng) @ np.diag(s) @ rp.random_rotation(n, rng).T
+    spectra = [[1.3, 0.7 + t, 0.5] for t in (5e-10, -5e-10, BOUNDARY_TOL, -BOUNDARY_TOL)]
+    # an active tie (non-isolated), a tie inside the pair and all tied
+    spectra += [[2.5, 1.0, 1.0], [1.5, 1.5, 0.5], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]
+    spectra += [list(10.0**e * np.array([1.7, 1.1, 0.4])) for e in range(-6, 7)]
+    for s in spectra:
+        for n in (1, 2, 3):
+            for left, right in zip(frames(n), frames(n)):
+                yield left @ np.diag(s[:n]) @ right.T
+
+
+class TestSmallFull:
+    """``rpolar_full`` at n <= 3 takes a direct path that gives the general
+    path's results."""
+
+    @pytest.mark.filterwarnings("ignore::rpolar.errors.TiesNotStrictWarning")
+    def test_agrees_with_general_path(self):
+        flags = set()
+        for f in _small_inputs():
+            ms, ref = rp.rpolar_full(f), _general_path(f)
+            assert (ms.k, ms.flags, ms.label) == (ref.k, ref.flags, ref.label)
+            assert [c.hex() for c in ms.cos_alphas] == [c.hex() for c in ref.cos_alphas]
+            assert ms.reduced_energy.hex() == ref.reduced_energy.hex()
+            assert len(ms.rotations) == len(ref.rotations)
+            for r, q in zip(ms.rotations, ref.rotations):
+                assert np.max(np.abs(r - q)) <= 1e-15
+            flags.update(ms.flags)
+        assert flags == {"boundary_case", "non_isolated"}
+
+    def test_errors(self):
+        rng = np.random.default_rng(2602)
+        for n in (1, 2, 3):
+            q = rp.random_rotation(n, rng)
+            flip = np.diag([1.0] * (n - 1) + [-1.0])
+            with pytest.raises(NonInvertibleOrReflective):
+                rp.rpolar_full(q @ np.diag(np.linspace(2.0, 0.5, n)) @ flip)
+            # at n = 1 only zero is rank deficient
+            for bad in (np.zeros((n, n)), q @ np.diag([1.0] * (n - 1) + [1e-13 * (n > 1)])):
+                with pytest.raises(Degenerate):
+                    rp.rpolar_full(bad)
+            for value in (np.nan, np.inf, -np.inf):
+                f = q.copy()
+                f[n - 1, 0] = value
+                with pytest.raises(Degenerate):
+                    rp.rpolar_full(f)
+        with pytest.raises(Degenerate):
+            rp.rpolar_full(np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 2.0]))
+
+    def test_no_determinant_factorization(self, monkeypatch):
+        # det F's sign comes from the SVD factors, not from an LU of F
+        f = _full_matrix(np.random.default_rng(2603), np.array([2.5, 1.2, 0.5]))
+
+        def no_det(*args, **kwargs):
+            raise AssertionError("np.linalg.det called")
+
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        assert rp.rpolar_full(f).k == 1
+        with pytest.raises(NonInvertibleOrReflective):
+            rp.rpolar_full(f @ np.diag([1.0, 1.0, -1.0]))
+
+    @pytest.mark.parametrize("d", [[2.5, 1.0, 1.0], [3.0, 2.0, 2.0, 0.5, 0.25]])
+    @pytest.mark.parametrize("entry", ["diag", "full"])
+    def test_tie_warning_points_at_caller(self, d, entry):
+        with pytest.warns(TiesNotStrictWarning) as record:
+            ms = rp.rpolar_diag(d) if entry == "diag" else rp.rpolar_full(np.diag(d))
+        assert "non_isolated" in ms.flags
+        assert [w.filename for w in record] == [__file__]
 
 
 def _streamed_sets(rng, n=40, k=9):
