@@ -649,7 +649,6 @@ def _general_path(f):
 def _small_inputs():
     """Seeded F at n = 1, 2, 3 and the edge cases of the direct path."""
     rng = np.random.default_rng(2601)
-    frames = lambda n: (np.eye(n), rp.random_rotation(n, rng))  # noqa: E731
     for n in (1, 2, 3):
         for lo, hi in ((1.0, 3.0), (0.2, 1.3), (0.95, 1.05), (3e-4, 3e3)):
             for _ in range(40):
@@ -661,8 +660,8 @@ def _small_inputs():
     spectra += [list(10.0**e * np.array([1.7, 1.1, 0.4])) for e in range(-6, 7)]
     for s in spectra:
         for n in (1, 2, 3):
-            for left, right in zip(frames(n), frames(n)):
-                yield left @ np.diag(s[:n]) @ right.T
+            yield np.diag(s[:n])
+            yield rp.random_rotation(n, rng) @ np.diag(s[:n]) @ rp.random_rotation(n, rng).T
 
 
 class TestSmallFull:
