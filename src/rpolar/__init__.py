@@ -16,22 +16,18 @@ from .blockdiag import (
     Block,
     BlockDecomposition,
     block_diagonalize,
-    is_symmetric_square,
     scalar_square_blocks,
 )
 from .critical import (
     CriticalPoint,
-    DiagParams,
     PartitionLabel,
     SubsetLabel,
-    as_diag,
     critical_value,
     energy,
     energy_weighted,
     enumerate_critical,
     is_critical,
     realize,
-    stationarity_defect,
 )
 from .errors import (
     Degenerate,
@@ -41,7 +37,6 @@ from .errors import (
     InvalidWeights,
     NonClassicalRange,
     NonInvertibleOrReflective,
-    NonIsolatedWarning,
     NotLambdaSquare,
     NotSkew,
     NotSymmetricSquare,
@@ -88,11 +83,9 @@ __all__ = [
     "MinimizerSet", "SchemeStep", "SchemeTrace",
     # energies and the critical-point classification
     "energy", "energy_weighted", "critical_value", "enumerate_critical", "realize",
-    "is_critical", "stationarity_defect", "as_diag",
-    "DiagParams", "CriticalPoint", "PartitionLabel", "SubsetLabel",
+    "is_critical", "CriticalPoint", "PartitionLabel", "SubsetLabel",
     # block-diagonalization of matrices with symmetric squares
-    "block_diagonalize", "scalar_square_blocks", "is_symmetric_square",
-    "Block", "BlockDecomposition",
+    "block_diagonalize", "scalar_square_blocks", "Block", "BlockDecomposition",
     # verification oracle
     "brute_force_min", "descend", "integrate_flow", "biot_flow", "riemannian_gradient",
     "DescentReport", "DescentResult", "FlowTrajectory",
@@ -102,6 +95,5 @@ __all__ = [
     # errors and warnings
     "RpolarError", "Degenerate", "DegenerateD", "DimensionMismatch", "InfeasibleLabel",
     "InvalidWeights", "NonClassicalRange", "NonInvertibleOrReflective", "NotLambdaSquare",
-    "NotSkew", "NotSymmetricSquare", "StepTooLarge", "TooLarge",
-    "NonIsolatedWarning", "TiesNotStrictWarning",
+    "NotSkew", "NotSymmetricSquare", "StepTooLarge", "TooLarge", "TiesNotStrictWarning",
 ]  # fmt: skip

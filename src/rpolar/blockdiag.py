@@ -90,23 +90,6 @@ def _scale(m: np.ndarray) -> float:
     return float(np.ldexp(1.0, np.frexp(abs(m).max(initial=0.0))[1] - 1))
 
 
-def is_symmetric_square(x) -> bool:
-    """Test whether X^2 is symmetric within a relative tolerance.
-
-    True iff ||skew(X^2)||_F <= TOL_BLOCK * (1 + ||X||_F^2), evaluated on
-    X scaled by a power of two, so that large finite entries give a bool.
-    """
-    m = as_matrix(x)
-    scale = _scale(m)
-    xs = m / scale
-    return _square_is_symmetric(xs @ xs, float((xs * xs).sum()), 1.0 / scale / scale)
-
-
-def _square_is_symmetric(sq: np.ndarray, norm_sq: float, unit: float) -> bool:
-    """The test on X / s, from sq = (X / s)^2, ||X / s||_F^2 and unit = 1 / s^2."""
-    return float(np.linalg.norm((sq - sq.T) / 2.0)) <= TOL_BLOCK * (unit + norm_sq)
-
-
 def _eigsplit(s: np.ndarray, floor: float):
     """Eigenvectors v of sym(s) and its clusters, eigenvalue descending.
 
@@ -314,7 +297,9 @@ def block_diagonalize(x) -> BlockDecomposition:
     Raises
     ------
     NotSymmetricSquare
-        If ``is_symmetric_square(x)`` fails.
+        If ||skew(X^2)||_F > TOL_BLOCK (1 + ||X||_F^2), tested on X over a
+        power of two, so that a large finite X is judged before its square
+        can overflow.
     Degenerate
         If X has non-finite entries, or if X^2 overflows.
     NotLambdaSquare
@@ -328,7 +313,8 @@ def block_diagonalize(x) -> BlockDecomposition:
     xs = m / scale
     sq = xs @ xs
     norm_sq = float((xs * xs).sum())
-    if not _square_is_symmetric(sq, norm_sq, unit):
+    # ||skew(X^2)||_F > TOL_BLOCK (1 + ||X||_F^2), on X / scale
+    if float(np.linalg.norm((sq - sq.T) / 2.0)) > TOL_BLOCK * (unit + norm_sq):
         raise NotSymmetricSquare("matrix square has a nonzero skew part")
     if n == 0:
         return BlockDecomposition(basis=np.eye(0), blocks=(), source_dim=0)

@@ -35,7 +35,7 @@ from .errors import (
     DimensionMismatch,
     InfeasibleLabel,
     InvalidWeights,
-    NonIsolatedWarning,
+    TiesNotStrictWarning,
     TooLarge,
 )
 from .linalg import as_matrix, frob_norm, frob_norm_sq, skew, sym
@@ -255,19 +255,15 @@ def energy_weighted(rbar, f, mu: float, mu_c: float) -> float:
     return mu * frob_norm_sq(sym(x)) + mu_c * frob_norm_sq(skew(x))
 
 
-def stationarity_defect(r, d) -> float:
-    """||skew((R D - I)^2)||_F, zero exactly at critical points.
-
-    Computed as twice the norm of the body-frame gradient
-    skew((R^T D - I)^2) / 2, which has the same norm.
-    """
-    return 2.0 * frob_norm(_grad_batch(*_checked(r, d)))
-
-
 def is_critical(r, d) -> bool:
-    """Stationarity test: ||skew((R D - I)^2)|| <= CRITICAL_TOL (1 + ||D||^2)."""
-    dv = _finite_values(d)
-    return stationarity_defect(r, dv) <= CRITICAL_TOL * (1.0 + float(np.sum(dv * dv)))
+    """Stationarity test: ||skew((R D - I)^2)|| <= CRITICAL_TOL (1 + ||D||^2).
+
+    The norm is computed as twice that of the body-frame gradient
+    skew((R^T D - I)^2) / 2, since skew((R^T D - I)^2) has the same norm.
+    """
+    rm, dv = _checked(r, d)
+    defect = 2.0 * frob_norm(_grad_batch(rm, dv))
+    return defect <= CRITICAL_TOL * (1.0 + float(np.sum(dv * dv)))
 
 
 # -- critical values ---------------------------------------------------------
@@ -647,7 +643,7 @@ def _enumerable(d, max_n: int) -> DiagParams:
         warnings.warn(
             "tied diagonal entries: degenerate det = -1 families on tied "
             "pairs are not enumerated",
-            NonIsolatedWarning,
+            TiesNotStrictWarning,
             stacklevel=3,
         )
     return params

@@ -54,8 +54,5 @@ class StepTooLarge(RpolarError):
 
 
 class TiesNotStrictWarning(UserWarning):
-    """Diagonal entries are tied; minimizers may form continuous families."""
-
-
-class NonIsolatedWarning(UserWarning):
-    """Tied diagonal entries imply non-isolated critical points."""
+    """Diagonal entries are tied; minimizers or critical points may form
+    continuous families."""

@@ -41,6 +41,7 @@ from .critical import (
     SubsetLabel,
     _block_cos_sin,
     _finite_values,
+    _label_value,
     _pair_signs,
     _subsets_label,
     as_diag,
@@ -85,11 +86,11 @@ class MinimizerSet:
     reduced_energy: float
     cos_alphas: tuple[float, ...]
     flags: tuple[str, ...]
-    _partner: list = field(repr=False)
+    _subsets: list = field(repr=False)
 
     @cached_property
     def label(self) -> PartitionLabel:
-        return _partner_label(self._partner)
+        return _subsets_label(self._subsets)
 
 
 @dataclass(frozen=True)
@@ -137,38 +138,18 @@ def optimal_k(d) -> int:
     return k
 
 
-def _partners(pairs, order) -> list[int]:
-    """The partner of each 0-based user index under 0-based rank pairs.
+def _optimal_subsets(pairs, order) -> list[tuple[tuple[int, ...], int]]:
+    """The (1-based indices, det +1) subsets of 0-based rank pairs, in label order.
 
-    ``order`` maps ranks to 0-based user indices; an index in no pair is
-    its own partner.
+    ``order`` maps ranks to 0-based user indices; an index in no pair is a
+    singleton.  ``_subsets_label`` gives their label and ``_label_value``
+    its value.
     """
     partner = list(range(len(order)))
     for a, b in pairs:
         i, j = order[a], order[b]
         partner[i], partner[j] = j, i
-    return partner
-
-
-def _partner_label(partner) -> PartitionLabel:
-    """The label of a partner list, every subset with det +1."""
-    return _subsets_label(
-        ((i + 1,) if i == j else (i + 1, j + 1), 1) for i, j in enumerate(partner) if i <= j
-    )
-
-
-def _partner_value(partner, dv) -> float:
-    """``_label_value`` of a partner list's label: the same terms, added in
-    the same (label) order, so that the two agree bitwise."""
-    total = 0.0
-    for i, j in enumerate(partner):
-        if i == j:
-            t = dv[i] - 1
-            total += t * t
-        elif i < j:
-            t = dv[i] - dv[j]
-            total += 0.5 * (t * t)
-    return total
+    return [((i + 1,) if i == j else (i + 1, j + 1), 1) for i, j in enumerate(partner) if i <= j]
 
 
 def _flags(sd: list[float], k: int) -> tuple[str, ...]:
@@ -212,14 +193,14 @@ def _minimize(params: DiagParams, left=None, right=None) -> MinimizerSet:
     leading = [(2 * p, 2 * p + 1) for p in range(k)]
     pairs = [(order[a], order[b], 1) for a, b in leading]
     rotations = RotationFamily([1.0] * len(dv), pairs, dv, left, right)
-    partner = _partners(leading, order)
+    subsets = _optimal_subsets(leading, order)
     return MinimizerSet(
         k=k,
         rotations=rotations,
-        reduced_energy=_partner_value(partner, dv),
+        reduced_energy=_label_value(subsets, dv),
         cos_alphas=rotations.cosines,
         flags=flags,
-        _partner=partner,
+        _subsets=subsets,
     )
 
 
@@ -257,7 +238,7 @@ def _small_minimize(v: np.ndarray, sv: list[float], wh: np.ndarray) -> Minimizer
     n = len(sv)
     k = 1 if n > 1 and _pair_signs(sv[0], sv[1]) else 0
     flags = _flags(sv, k)
-    partner = _partners([(0, 1)] if k else [], range(n))
+    subsets = _optimal_subsets([(0, 1)] if k else [], range(n))
     if k:
         c, s = _block_cos_sin(sv[0], sv[1], 1)
         cos_alphas = (c,)
@@ -271,10 +252,10 @@ def _small_minimize(v: np.ndarray, sv: list[float], wh: np.ndarray) -> Minimizer
     return MinimizerSet(
         k=k,
         rotations=_SmallRotations(base, delta),
-        reduced_energy=_partner_value(partner, sv),
+        reduced_energy=_label_value(subsets, sv),
         cos_alphas=cos_alphas,
         flags=flags,
-        _partner=partner,
+        _subsets=subsets,
     )
 
 
@@ -435,7 +416,7 @@ def scheme_minimize(start: PartitionLabel, d) -> SchemeTrace:
     order = params.order.tolist()
     leading = [(2 * p, 2 * p + 1) for p in range(params.n // 2)]
     for pairs in (untangled, leading[: len(untangled)], leading[: optimal_k(params)]):
-        labels.append(_partner_label(_partners(pairs, order)))
+        labels.append(_subsets_label(_optimal_subsets(pairs, order)))
     values += [critical_value(label, params) for label in labels[1:]]
     names = ("sign-flip", "disentangle", "shift", "exhaust")
     return SchemeTrace(

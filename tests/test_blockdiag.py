@@ -82,30 +82,43 @@ def check_decomposition(dec, x, tol=1e-8):
 
 
 class TestIsSymmetricSquare:
+    """Membership: ``block_diagonalize`` raises ``NotSymmetricSquare``
+    exactly when X^2 is not symmetric within ``TOL_BLOCK``."""
+
     def test_symmetric_input(self):
         s = rp.sym(RNG.standard_normal((4, 4)))
-        assert rp.is_symmetric_square(s)
+        rp.block_diagonalize(s)
 
     def test_trace_zero_2x2(self):
         x = np.array([[1.5, 2.0], [0.75, -1.5]])
-        assert rp.is_symmetric_square(x)
+        rp.block_diagonalize(x)
 
     def test_counterexample(self):
         x = np.array([[1.0, 1.0], [0.0, 2.0]])
         # direct oracle: skew(X^2) has off-diagonal (3 - 0)/2
         assert rp.frob_norm(rp.skew(x @ x)) > 1.0
-        assert not rp.is_symmetric_square(x)
+        with pytest.raises(NotSymmetricSquare):
+            rp.block_diagonalize(x)
 
     @settings(max_examples=25)
     @given(arrays(float, (3, 3), elements=st.floats(-5, 5, allow_nan=False)))
     def test_any_symmetric_matrix_passes(self, raw):
-        assert rp.is_symmetric_square(rp.sym(raw))
+        try:
+            rp.block_diagonalize(rp.sym(raw))
+        except NotLambdaSquare:
+            # membership passed and an eigenspace split failed: a
+            # symmetric X with eigenvalues near 0 and 1e-4 can raise this
+            pass
 
     @pytest.mark.filterwarnings("error")
-    def test_large_finite_entries_give_a_bool(self):
-        # X^2 overflows the double range, X scaled by a power of two does not
-        assert rp.is_symmetric_square([[1e160, 0.0], [0.0, 1.0]]) is True
-        assert rp.is_symmetric_square([[1e160, 1e160], [0.0, 1.0]]) is False
+    def test_large_finite_entries_are_judged_before_squaring(self):
+        # X^2 overflows the double range, X scaled by a power of two does
+        # not: a symmetric square passes membership and then overflows, a
+        # non-symmetric one fails membership
+        with pytest.raises(Degenerate, match="overflows"):
+            rp.block_diagonalize([[1e160, 0.0], [0.0, 1.0]])
+        with pytest.raises(NotSymmetricSquare):
+            rp.block_diagonalize([[1e160, 1e160], [0.0, 1.0]])
 
 
 def eigsplit(s):
@@ -292,11 +305,9 @@ class TestBlockDiagonalize:
             scale = 10.0 ** rng.uniform(-12, -8.5)
             x, _ = random_symmetric_square(rng, n)
             y = x + scale * rp.frob_norm(x) * rng.standard_normal((n, n))
-            if not rp.is_symmetric_square(y):
-                continue
             try:
                 dec = rp.block_diagonalize(y)
-            except NotLambdaSquare:
+            except (NotSymmetricSquare, NotLambdaSquare):
                 continue
             assert rp.frob_norm(dec.basis.T @ dec.basis - np.eye(n)) <= 1e-10
             assert all(b.size in (1, 2) for b in dec.blocks)

@@ -23,7 +23,7 @@ from rpolar.cli import (
     parse_matrix_file,
 )
 from rpolar.critical import PartitionLabel
-from rpolar.errors import NonIsolatedWarning
+from rpolar.errors import TiesNotStrictWarning
 
 
 def run(capsys, *argv):
@@ -265,7 +265,7 @@ class TestCriticalListingBytes:
 
     def test_tied(self, capsys):
         # equal values order by label string, here with two-digit indices
-        with pytest.warns(NonIsolatedWarning):
+        with pytest.warns(TiesNotStrictWarning):
             self.check(capsys, [4.5] + [0.5] * 9)
 
 

@@ -15,15 +15,11 @@ from rpolar.errors import (
     TiesNotStrictWarning,
 )
 from rpolar.relaxed import _minimize
-from util import is_rotation, random_scheme_start
+from util import is_rotation, label_of, random_scheme_start
 
 RNG = np.random.default_rng(271828)
 
 D5 = [4.0, 2.0, 1.0, 0.5, 0.25]
-
-
-def label_of(*subs):
-    return PartitionLabel(subsets=tuple(SubsetLabel(s, g) for s, g in subs))
 
 
 class TestOptimalK:

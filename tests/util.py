@@ -75,6 +75,11 @@ def random_symmetric_square(rng: np.random.Generator, n: int):
     return t0 @ x @ t0.T, blocks
 
 
+def label_of(*subs) -> PartitionLabel:
+    """The label of (indices, det sign) subsets, with angle signs +1."""
+    return PartitionLabel(subsets=tuple(SubsetLabel(s, g) for s, g in subs))
+
+
 def random_partition(rng: np.random.Generator, n: int):
     """Partition of {1..n} into subsets of size one or two, as index tuples."""
     indices = list(range(1, n + 1))
