@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Degenerate, NotLambdaSquare, NotSymmetricSquare
-from .linalg import as_matrix, frob_norm
+from .linalg import as_matrix, frob_norm, frob_norm_sq
 
 # Relative tolerance for symmetric-square membership and block residuals.
 TOL_BLOCK = 1e-8
@@ -110,11 +110,10 @@ def _eigsplit(s: np.ndarray, floor: float):
     return v, lams[::-1], starts[::-1], dims[::-1]
 
 
-def _not_lambda_square(y: np.ndarray, lam: np.ndarray, unit: float) -> np.ndarray:
-    """Mask of the stacked Y with ||Y^2 - lam I||_F > TOL_BLOCK (unit + ||Y||_F^2)."""
+def _not_lambda_square(y: np.ndarray, lam: np.ndarray, bound: float) -> np.ndarray:
+    """Mask of the stacked Y with ||Y^2 - lam I||_F > TOL_BLOCK * bound."""
     res = y @ y - lam[:, None, None] * np.eye(y.shape[1])
-    norm = np.sqrt(np.add.reduce(y * y, axis=(1, 2)))
-    return np.sqrt(np.add.reduce(res * res, axis=(1, 2))) > TOL_BLOCK * (unit + norm * norm)
+    return np.sqrt(np.add.reduce(res * res, axis=(1, 2))) > TOL_BLOCK * bound
 
 
 def _split(keys: list[int]) -> list[tuple[int, slice | np.ndarray]]:
@@ -276,7 +275,7 @@ def scalar_square_blocks(y, lam: float) -> BlockDecomposition:
     scale = _scale(m)
     ys = (m / scale)[None]
     lams = np.array([lam / scale / scale])
-    if _not_lambda_square(ys, lams, 1.0 / scale / scale)[0]:
+    if _not_lambda_square(ys, lams, 1.0 / scale / scale + frob_norm_sq(ys[0]))[0]:
         raise NotLambdaSquare(f"matrix square is not {lam} * identity")
     [(basis, blocks)] = _blocks(ys, lams, scale, [float(lam)])
     return BlockDecomposition(basis=basis, blocks=tuple(blocks), source_dim=n)
@@ -303,8 +302,8 @@ def block_diagonalize(x) -> BlockDecomposition:
     Degenerate
         If X has non-finite entries, or if X^2 overflows.
     NotLambdaSquare
-        If an eigenspace restriction of a noisy X that passes the check
-        above squares to no multiple of the identity within ``TOL_BLOCK``.
+        If an eigenspace restriction Y of a noisy X that passes the check
+        above has ||Y^2 - lam I||_F > TOL_BLOCK (1 + ||X||_F^2).
     """
     m = as_matrix(x)
     n = m.shape[0]
@@ -330,7 +329,9 @@ def block_diagonalize(x) -> BlockDecomposition:
         b = np.empty((idx.size, n, d + 1))[:, :, :d]
         b[...] = v[:, starts[idx, None] + np.arange(d)].transpose(1, 0, 2)
         groups.append((idx, b, (b.transpose(0, 2, 1) @ xs) @ b))
-    bad = [i for idx, _, y in groups for i in idx[_not_lambda_square(y, lams[idx], unit)]]
+    # each restriction is judged at the scale of X, as membership is: a
+    # small Y's own norm would hold its rounding to a stricter bound
+    bad = [i for idx, _, y in groups for i in idx[_not_lambda_square(y, lams[idx], unit + norm_sq)]]
     if bad:
         raise NotLambdaSquare(f"matrix square is not {mus[min(bad)]} * identity")
     ordered: list = [None] * len(mus)

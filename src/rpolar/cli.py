@@ -6,11 +6,11 @@ inputs and seeds produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure or other invalid argument,
 2 parse failure, 3 degenerate, reflective or non-finite input or a printed
-value that overflows, 4 dimension
-over the enumeration guard (``--max-n``) or the multistart guard of
-``verify`` (n <= 16), or minimizers, flow states or multistart work arrays
-over ``MAX_OUTPUT_ENTRIES`` entries, 5 not a symmetric square, 6
-infeasible label.
+value that overflows, 4 a critical listing over ``MAX_LISTING_ENTRIES``
+entries, dimension over the multistart guard of ``verify`` (n <= 16), or
+minimizers, ``critical --label`` rotations, flow states or multistart
+work arrays over ``MAX_OUTPUT_ENTRIES`` entries, 5 not a symmetric
+square, 6 infeasible label.
 Every error prints one ``error:`` line to stderr and leaves stdout empty.
 Diagonal values go to ``rpolar_diag`` whatever their signs.
 """
@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from .blockdiag import block_diagonalize
 from .critical import (
-    DEFAULT_MAX_N,
     PartitionLabel,
     SubsetLabel,
     as_diag,
@@ -250,6 +249,9 @@ def cmd_critical(args) -> int:
         label = parse_label(args.label)
         value = critical_value(label, params)
         _require_finite(value, "critical value overflows")
+        n, m = params.n, len(label.pairs())
+        if 2**m * n * n > MAX_OUTPUT_ENTRIES:
+            raise TooLarge(f"2**{m} rotations of {n}x{n} exceed {MAX_OUTPUT_ENTRIES} entries")
         payload = {
             "schema": SCHEMA,
             "kind": "critical_value",
@@ -265,7 +267,7 @@ def cmd_critical(args) -> int:
             payload["reason"] = str(exc)
         _emit(payload)
         return EXIT_OK
-    table = _critical_table(params, max_n=args.max_n)
+    table = _critical_table(params)
     _require_finite(table.values, "critical values overflow")
     _write_critical_points(table)
     return EXIT_OK
@@ -443,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical", help="enumerate critical points")
     p.add_argument("input", help="comma list of diagonal values")
     p.add_argument("--label", help="evaluate one label, e.g. '{1}+,{2,5}-,{3}-,{4}-'")
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("blockdiag", help="block-diagonalize a symmetric-square matrix")

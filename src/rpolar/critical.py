@@ -18,7 +18,6 @@ signs.  ``RotationFamily`` is the one builder of such a set, for
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -40,7 +39,9 @@ from .errors import (
 )
 from .linalg import as_matrix, frob_norm, frob_norm_sq, skew, sym
 
-DEFAULT_MAX_N = 10
+# A critical listing holds at most this many matrix entries, n^2 per point:
+# the smallest power of two above n = 10 with every pair feasible.
+MAX_LISTING_ENTRIES = 2**29
 CRITICAL_TOL = 1e-9
 # A pair whose feasibility margin is at or below this is treated as two
 # singletons: its rotation angle is zero to within rounding.
@@ -550,49 +551,25 @@ def realize(label: PartitionLabel, d) -> list[CriticalPoint]:
 # -- enumeration -------------------------------------------------------------
 
 
-def _partitions(indices: tuple[int, ...]):
-    """All partitions of sorted ``indices`` into subsets of size 1 or 2."""
+def _feasible_partitions(indices: tuple[int, ...], sid: dict, options: list):
+    """Partitions of sorted ``indices`` into singletons and pairs that admit
+    a block, as tuples of subset ids ``sid[indices]``.
+
+    The first index goes alone, then with each later index in turn, so
+    dropping the pairs with no det sign (``options[id]`` 0) keeps the order
+    of the unpruned partitions.
+    """
     if not indices:
         yield ()
         return
     first, rest = indices[0], indices[1:]
-    for tail in _partitions(rest):
-        yield ((first,),) + tail
+    for tail in _feasible_partitions(rest, sid, options):
+        yield (sid[(first,)],) + tail
     for j, other in enumerate(rest):
-        remaining = rest[:j] + rest[j + 1 :]
-        for tail in _partitions(remaining):
-            yield ((first, other),) + tail
-
-
-@functools.lru_cache(maxsize=None)
-def _partition_rows(n: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """The partitions of {1, ..., n} into subsets of size 1 or 2 as integer rows.
-
-    Returns (subsets, sids, sizes).  ``subsets`` lists (1-based indices,
-    det sign) per subset code: codes 2s and 2s + 1 are subset s with det
-    +1 and det -1, the singletons {1}, ..., {n} first, then the pairs in
-    lexicographic order.  Row k of ``sids`` holds the ``sizes[k]`` subsets
-    s of one partition in label order, padded with n(n + 1) / 2, the
-    number of subsets.  Rows follow ``_partitions``.  Cached read-only per
-    n; one row per partition, not per label (140 152 rows at n = 12).
-    """
-    index_sets = [(i,) for i in range(1, n + 1)]
-    index_sets += itertools.combinations(range(1, n + 1), 2)
-    subsets = tuple((indices, det) for indices in index_sets for det in (1, -1))
-    sid = {indices: s for s, indices in enumerate(index_sets)}
-    # partitions of {1, ..., m}: m alone, or paired with one of the others
-    counts = [1, 1]
-    for m in range(2, n + 1):
-        counts.append(counts[-1] + (m - 1) * counts[-2])
-    # the smallest integer type that holds every code, n(n + 1) for padding
-    sids = np.full((counts[n], n), len(index_sets), np.min_scalar_type(-n * (n + 1)))
-    sizes = np.empty(counts[n], np.int64)
-    for k, partition in enumerate(_partitions(tuple(range(1, n + 1)))):
-        sids[k, : len(partition)] = [sid[sub] for sub in partition]
-        sizes[k] = len(partition)
-    sids.setflags(write=False)
-    sizes.setflags(write=False)
-    return subsets, sids, sizes
+        s = sid[(first, other)]
+        if options[s]:
+            for tail in _feasible_partitions(rest[:j] + rest[j + 1 :], sid, options):
+                yield (s,) + tail
 
 
 @dataclass(frozen=True, eq=False)
@@ -631,14 +608,23 @@ class _CriticalTable:
         return family._chunk(0, len(family))
 
 
-def _enumerable(d, max_n: int) -> DiagParams:
-    """Parameters of an enumeration: rejects n > max_n, warns on ties.
+def _check_listing(points: int, n: int) -> None:
+    """Raise ``TooLarge`` if ``points`` of n x n pass ``MAX_LISTING_ENTRIES``."""
+    if points * n * n > MAX_LISTING_ENTRIES:
+        raise TooLarge(f"the critical points of n = {n} exceed {MAX_LISTING_ENTRIES} entries")
 
-    The warning names the line that called the caller of this function.
+
+def _table(d) -> _CriticalTable:
+    """The partitions whose pairs all admit a block, each expanded to its
+    admitted det signs of product +1, with their values.
+
+    Subset code 2s or 2s + 1 is subset s with det +1 or -1: the singletons
+    {1}, ..., {n} first, then the pairs in lexicographic order.  The points
+    are counted as the partitions are generated, and ``TooLarge`` is
+    raised once they hold more than ``MAX_LISTING_ENTRIES`` entries.  A
+    tie warns, naming the line that called the caller of this function.
     """
     params = as_diag(d)
-    if params.n > max_n:
-        raise TooLarge(f"n = {params.n} exceeds max_n = {max_n}")
     if not params.strict:
         warnings.warn(
             "tied diagonal entries: degenerate det = -1 families on tied "
@@ -646,23 +632,30 @@ def _enumerable(d, max_n: int) -> DiagParams:
             TiesNotStrictWarning,
             stacklevel=3,
         )
-    return params
-
-
-def _table(params: DiagParams) -> _CriticalTable:
-    """The partitions whose pairs all admit a block, each expanded to its
-    admitted det signs of product +1, with their values."""
-    subsets, sids, sizes = _partition_rows(params.n)
+    n = params.n
+    # the all-singleton partition alone has 2^(n - 1) points
+    _check_listing(2 ** (n - 1), n)
     dv = params.d.tolist()
+    index_sets = [(i,) for i in range(1, n + 1)]
+    index_sets += itertools.combinations(range(1, n + 1), 2)
+    subsets = tuple((indices, det) for indices in index_sets for det in (1, -1))
+    sid = {indices: s for s, indices in enumerate(index_sets)}
     # how many det signs each subset admits; with one, it is +1, because a
     # pair that admits -1 admits +1; the padding has one and adds 0.0
-    options = [
-        2 if len(indices) == 1 else len(_pair_signs(dv[indices[0] - 1], dv[indices[1] - 1]))
-        for indices, _ in subsets[::2]
-    ]
-    options = np.array(options + [1], np.int8)[sids]
-    keep = (options > 0).all(axis=1)
-    sids, sizes, free = sids[keep], sizes[keep], options[keep] == 2
+    options = [2] * n + [len(_pair_signs(dv[i - 1], dv[j - 1])) for i, j in index_sets[n:]] + [1]
+    pad = (len(index_sets),) * n
+    rows, points = [], 0
+    for row in _feasible_partitions(tuple(range(1, n + 1)), sid, options):
+        # 2^(f - 1) det sign patterns for f free subsets (one if f = 0),
+        # and two angle signs per pair
+        f = sum(options[s] == 2 for s in row)
+        points += 2 ** (max(f - 1, 0) + n - len(row))
+        _check_listing(points, n)
+        rows.append(row + pad[len(row) :])
+    # the smallest integer type that holds every code, n(n + 1) for padding
+    sids = np.array(rows, np.min_scalar_type(-n * (n + 1)))
+    sizes = np.count_nonzero(sids < len(index_sets), axis=1)
+    free = np.array(options, np.int8)[sids] == 2
     # A partition with f subsets free to take either sign has 2^(f-1) sign
     # patterns with an even number of -1 (one if f = 0); in product order
     # the r-th is 2r + parity(r), whose bit f-1-q is 1 where the q-th free
@@ -672,13 +665,13 @@ def _table(params: DiagParams) -> _CriticalTable:
     row_part = np.repeat(np.arange(len(sids)), counts)
     r = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     parity = np.zeros_like(r)
-    for b in range(params.n):
+    for b in range(n):
         parity ^= (r >> b) & 1
     pattern = 2 * r + parity
     # each column's bit position; shifts past 63 select a zero bit
     shifts = np.where(free, f[:, None] - np.cumsum(free, axis=1), 63)
     codes = 2 * sids[row_part]
-    for p in range(params.n):
+    for p in range(n):
         codes[:, p] += (pattern >> shifts[row_part, p]) & 1
     terms = np.array([_label_value([sub], dv) for sub in subsets] + [0.0])
     values = terms[codes[:, 0]]
@@ -687,7 +680,7 @@ def _table(params: DiagParams) -> _CriticalTable:
     return _CriticalTable(params, subsets, codes, sizes[row_part], values)
 
 
-def _critical_table(d, max_n: int = DEFAULT_MAX_N) -> _CriticalTable:
+def _critical_table(d) -> _CriticalTable:
     """Every critical label of W(.; D) and its value, as arrays.
 
     The rows are the labels of ``enumerate_critical`` in its order, and
@@ -697,12 +690,13 @@ def _critical_table(d, max_n: int = DEFAULT_MAX_N) -> _CriticalTable:
     Raises
     ------
     TooLarge
-        If n exceeds ``max_n``.
+        If the critical points hold more than ``MAX_LISTING_ENTRIES``
+        matrix entries, n^2 per point.
     """
-    return _table(_enumerable(d, max_n))
+    return _table(d)
 
 
-def enumerate_critical(d, max_n: int = DEFAULT_MAX_N):
+def enumerate_critical(d):
     """Yield every critical point of W(.; D), without duplicates.
 
     Partitions into subsets of size one or two in a fixed order, then all
@@ -712,14 +706,14 @@ def enumerate_critical(d, max_n: int = DEFAULT_MAX_N):
     table; rotations are realized one label at a time.  The ``critical``
     CLI streams the same points sorted by value, then by label string,
     then in this angle order.  The count grows super-exponentially, so
-    dimensions above ``max_n`` are rejected.
+    it is bounded before the first point is yielded.
 
     Raises
     ------
     TooLarge
-        If n exceeds ``max_n``.
+        If the critical points hold more than ``MAX_LISTING_ENTRIES``
+        matrix entries, n^2 per point.
     """
-    params = _enumerable(d, max_n)
-    table = _table(params)
+    table = _table(d)
     for row in table.rows():
-        yield from _points(table.label(row), params.d)
+        yield from _points(table.label(row), table.params.d)

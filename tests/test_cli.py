@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import rpolar as rp
-from rpolar import critical
 
 from rpolar.cli import (
     EXIT_DEGENERATE,
@@ -221,9 +220,22 @@ class TestCriticalCmd:
             assert first["value"] == json.loads(minimizers)["reduced_energy"]
 
     def test_too_large(self, capsys):
-        values = ",".join(str(v) for v in np.linspace(3.0, 1.0, 11))
-        code, _, _ = run(capsys, "critical", values)
+        values = ",".join(str(10 + 7 * i) for i in range(11))
+        code, out, err = run(capsys, "critical", values)
         assert code == EXIT_TOO_LARGE
+        assert out == "" and err.count("\n") == 1 and err.startswith("error:")
+
+    def test_max_n_option_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["critical", "3,1", "--max-n", "11"])
+        assert exc.value.code == EXIT_PARSE
+
+    def test_label_rotations_too_large(self, capsys):
+        # 2^15 rotations of 30x30: 29.5 M entries, over MAX_OUTPUT_ENTRIES
+        values = ",".join(str(10 + 7 * i) for i in range(30))
+        label = ",".join("{%d,%d}+" % (2 * i + 1, 2 * i + 2) for i in range(15))
+        code, out, _ = run(capsys, "critical", values, "--label", label)
+        assert code == EXIT_TOO_LARGE and out == ""
 
 
 def reference_listing(d) -> str:
@@ -282,7 +294,6 @@ class TestCriticalListingMemory:
     def test_streams(self):
         # 14 848 points and 10 MB of JSON: the listing streams them, never holds them
         sink = self.Sink()
-        critical._partition_rows.cache_clear()
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(sink):
@@ -295,20 +306,26 @@ class TestCriticalListingMemory:
         assert peak < 4 * 2**20
 
     def test_sparse_above_default_max_n(self):
-        # no pair admits a block: 1 024 points from 35 696 partitions of
-        # {1..11}, whose 2.6 M sign patterns are never expanded
+        # no pair admits a block: 1 024 points from the one all-singleton
+        # partition of {1..11}
         sink = self.Sink()
-        critical._partition_rows.cache_clear()
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(sink):
-                code = main(["critical", ",".join(str(0.1 + 0.07 * i) for i in range(11)), "--max-n", "11"])
+                code = main(["critical", ",".join(str(0.1 + 0.07 * i) for i in range(11))])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK
         assert sink.lines == 2**10
         assert peak < 4 * 2**20
+
+    def test_sparse_n16(self):
+        sink = self.Sink()
+        with contextlib.redirect_stdout(sink):
+            code = main(["critical", ",".join(map(repr, np.linspace(0.9, 0.5, 16).tolist()))])
+        assert code == EXIT_OK
+        assert sink.lines == 2**15
 
 
 class TestBlockdiagCmd:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import rpolar as rp
 from rpolar.critical import (
     BOUNDARY_TOL,
+    MAX_LISTING_ENTRIES,
     DiagParams,
     PartitionLabel,
     SubsetLabel,
@@ -322,8 +323,10 @@ class TestEnumerate:
         assert len(keys) == len(points)
 
     def test_guard(self):
+        # every pair admits both signs: 4 861 952 points of 100 entries fit
+        # MAX_LISTING_ENTRIES at n = 10, and n = 11 passes it
         with pytest.raises(TooLarge):
-            list(rp.enumerate_critical(np.linspace(3, 1, 11)))
+            next(rp.enumerate_critical(10.0 + 7.0 * np.arange(11)))
 
     def test_ties_warn(self):
         with pytest.warns(TiesNotStrictWarning):
@@ -415,7 +418,22 @@ class TestCriticalTable:
 
     def test_guard(self):
         with pytest.raises(TooLarge):
-            _critical_table(np.linspace(3, 1, 5), max_n=4)
+            _critical_table(10.0 + 7.0 * np.arange(11))
+
+    def test_largest_listing_within_the_bound(self):
+        table = _critical_table(10.0 + 7.0 * np.arange(10))
+        assert len(table.codes) == 460592
+        points = int(np.sum(2 ** (10 - table.sizes)))
+        assert points * 100 <= MAX_LISTING_ENTRIES < 2 * points * 100
+
+    def test_pruned_walk_keeps_the_order(self):
+        # pairs admitting no sign, +1 only and both: the walk skips the
+        # first kind and must still list the labels in unpruned order
+        rng = np.random.default_rng(28)
+        for n in list(range(2, 9)) * 3 + [9]:
+            d = rng.choice([0.2, 0.5, 0.8, 1.4, 2.2, 3.6, 5.0], n) + rng.uniform(0.0, 0.05, n)
+            table = _critical_table(d)
+            assert [table.label(row) for row in table.rows()] == list(reference_labels(d))
 
     def test_subset_rotations_sum_to_points(self):
         d = np.array([4.0, 0.3, 2.6, 0.5, 1.9])
