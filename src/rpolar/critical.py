@@ -633,7 +633,8 @@ def _table(d) -> _CriticalTable:
             stacklevel=3,
         )
     n = params.n
-    # the all-singleton partition alone has 2^(n - 1) points
+    # the all-singleton partition alone has 2^(n - 1) points: bound it
+    # before the n(n + 1) subset codes are built and the walk recurses n deep
     _check_listing(2 ** (n - 1), n)
     dv = params.d.tolist()
     index_sets = [(i,) for i in range(1, n + 1)]

@@ -321,6 +321,8 @@ class TestCriticalListingMemory:
         assert peak < 4 * 2**20
 
     def test_sparse_n16(self):
+        # no pair admits a block: 2^15 points from the one all-singleton
+        # partition, well inside MAX_LISTING_ENTRIES
         sink = self.Sink()
         with contextlib.redirect_stdout(sink):
             code = main(["critical", ",".join(map(repr, np.linspace(0.9, 0.5, 16).tolist()))])
