@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import sys
 import threading
 import warnings
@@ -179,16 +178,9 @@ class PartitionLabel:
         return cls(subsets=subs)
 
     @classmethod
-    def singletons(cls, n: int, det_signs=None) -> "PartitionLabel":
-        """All-singleton label; det_signs defaults to all +1."""
-        if det_signs is None:
-            det_signs = [1] * n
-        return cls(
-            subsets=tuple(
-                SubsetLabel(indices=(i + 1,), det_sign=int(det_signs[i]))
-                for i in range(n)
-            )
-        )
+    def singletons(cls, n: int) -> "PartitionLabel":
+        """All-singleton label with every det sign +1."""
+        return cls(subsets=tuple(SubsetLabel(indices=(i + 1,), det_sign=1) for i in range(n)))
 
     def same_partition(self, other: "PartitionLabel") -> bool:
         """Equality of partitions and det signs, ignoring angle signs."""
@@ -385,13 +377,13 @@ class RotationFamily(Sequence):
     sin a at (j, i) and det cos a at (j, j), with sin a > 0, so the angle
     sign refers to the block written i first.  The block is a rotation
     for det +1 and a reflection for det -1.
-    Rotation v is L B_v R^T, where B_v is B_0 with the angle sign of pair
+    Rotation v is L B_v R, where B_v is B_0 with the angle sign of pair
     p negated (its two off-diagonal entries flipped) where bit m-1-p of v
     is set: the first pair varies slowest and takes +1 first.  Without a
     left frame L = I, and R is I or a reflection J, a column sign flip.
-    With the frames (L, R) = (V, W) of F = V S W^T, each rotation is a
+    With the frames (L, R) = (V, W^T) of F = V S W^T, each rotation is a
     rank-2m update of one fixed matrix, through the 2m paired columns of
-    V and W.
+    V and rows of W^T.
 
     Indexing builds one matrix in O(n^2 m) time and O(n^2) memory, and
     ``_chunk`` a fresh batch.  Iteration builds chunks of about
@@ -408,7 +400,7 @@ class RotationFamily(Sequence):
         """Family of B_0 with ``diagonal`` and the 0-based ``pairs`` (i, j, det).
 
         ``dv`` holds the n values the pairs index.  ``left`` and ``right``
-        are the frames V and W; with ``left`` None, ``right`` is None or
+        are the frames V and W^T; with ``left`` None, ``right`` is None or
         the diagonal of the reflection J.
         """
         self.m = len(pairs)
@@ -438,13 +430,13 @@ class RotationFamily(Sequence):
             self._frames = None
         else:
             # V B_v W^T = V C W^T + V_P diag(sigma_v) O_P W^T, where C is the
-            # diagonal of B_0, O its off-diagonal part (one entry in each
-            # paired row) and sigma_v the signs
-            self._base = (left * diagonal) @ right.T
-            off_rows = np.zeros((paired.size, self._n))
-            for p, (i, j, _) in enumerate(pairs):
-                off_rows[2 * p, j], off_rows[2 * p + 1, i] = upper[p], lower[p]
-            self._frames = (left.take(paired, axis=1), off_rows @ right.T)
+            # diagonal of B_0, O its off-diagonal part and sigma_v the signs:
+            # O_P W^T has, per pair, row j of W^T times the entry at (i, j)
+            # and row i times the entry at (j, i)
+            self._base = (left * diagonal) @ right
+            swapped = [index for i, j, _ in pairs for index in (j, i)]
+            off = [value for entries in zip(upper, lower) for value in entries]
+            self._frames = (left.take(paired, axis=1), right[swapped] * np.array(off)[:, None])
 
     def __len__(self) -> int:
         return self._count
@@ -452,11 +444,7 @@ class RotationFamily(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(self._count)[index])
-        v = operator.index(index)
-        if v < 0:
-            v += self._count
-        if not 0 <= v < self._count:
-            raise IndexError(f"rotation index {index} out of range for 2^{self.m}")
+        v = range(self._count)[index]
         bits = [(v >> (self.m - 1 - p)) & 1 for p in range(self.m)]
         out = np.empty((1, self._n, self._n))
         return self._build(np.array(bits, dtype=np.int64).reshape(1, self.m), out)[0]
@@ -687,6 +675,8 @@ def _critical_table(d) -> _CriticalTable:
     The rows are the labels of ``enumerate_critical`` in its order, and
     each value equals ``critical_value`` of its label bitwise.  No rotation
     is realized; ``_CriticalTable.subset_rotations`` gives the blocks.
+    This wraps ``_table`` so that, as for ``enumerate_critical``, the tie
+    warning names the line that called this function.
 
     Raises
     ------

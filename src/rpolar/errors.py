@@ -34,7 +34,8 @@ class InfeasibleLabel(RpolarError):
 
 
 class TooLarge(RpolarError):
-    """Dimension exceeds the configured enumeration guard."""
+    """A request passes a size bound: the matrix entries that a listing or
+    output would hold, or the multistart descent's dimension."""
 
 
 class InvalidWeights(RpolarError):

@@ -141,8 +141,9 @@ def _svd_polar(f: np.ndarray):
     # With s > 0, det F has the sign of det V det W^T.  At n <= 3 those
     # orthogonal factors give it without another factorization and, as
     # their determinants are +-1, reliably even for nearly singular F; at
-    # larger n they would cost two LUs where F alone costs one.
-    if (_small_det(v) * _small_det(wh) if f.shape[0] <= 3 else np.linalg.det(f)) <= 0:
+    # larger n they would cost two LUs where F alone costs one.  The sign
+    # of slogdet, unlike det, does not overflow or underflow to 0 at scale.
+    if (_small_det(v) * _small_det(wh) if f.shape[0] <= 3 else np.linalg.slogdet(f)[0]) <= 0:
         raise NonInvertibleOrReflective("determinant must be positive")
     return v, s, wh
 

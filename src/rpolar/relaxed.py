@@ -12,9 +12,10 @@ cos(a_i) = 2 / (d_{2i-1} + d_{2i}) and a free angle sign, so there are
 
 The 2^k minimizers are the critical points of that optimal label, so
 they are built on demand as its ``critical.RotationFamily`` (see
-``MinimizerSet`` for their order), and W_red is its critical value.  A
-full matrix of size n <= 3 has k <= 1, and its one or two minimizers are
-built directly from its SVD.
+``MinimizerSet`` for their order), and W_red is its critical value.  One
+helper computes k, the flags, the label and W_red for every entry point;
+a full matrix of size n <= 3 has k <= 1, and it only keeps its one or two
+minimizers in a smaller container built directly from its SVD.
 
 Signed parameters reduce to |D| with the reflection J = diag(sign d_i):
 sym(R D - I) = sym((R J)(J D) - I), so when det J = +1 the minimizers of D
@@ -35,7 +36,6 @@ import numpy as np
 
 from .critical import (
     BOUNDARY_TOL,
-    DiagParams,
     PartitionLabel,
     RotationFamily,
     SubsetLabel,
@@ -62,7 +62,8 @@ class MinimizerSet:
     no view of it is alive (a thread keeps at most two chunk buffers), and
     ``np.stack(list(ms.rotations))`` materializes them all.  For
     ``rpolar_full`` at n <= 3 it is a ``_SmallRotations`` of the same
-    rotations in the same order, each read a fresh array.  Its pairs
+    rotations in the same order, each read a fresh array; k, the flags,
+    the label and the value come from the same code at every n.  Its pairs
     come in rank order, pair p holding the entries of sorted ranks 2p+1
     and 2p+2, each written larger value first, so an angle sign refers to
     that block.  ``realize(ms.label, d)`` gives the same set, but orders
@@ -131,11 +132,20 @@ def optimal_k(d) -> int:
     Counts pairs while d_{2k-1} + d_{2k} > 2 + ``BOUNDARY_TOL`` on the
     sorted values (0 if none).
     """
-    sd = as_diag(d).sorted_d
-    k = 0
-    while 2 * k + 1 < sd.size and _pair_signs(sd[2 * k], sd[2 * k + 1]):
-        k += 1
-    return k
+    return len(_leading_pairs(as_diag(d).sorted_d.tolist()))
+
+
+def _leading_pairs(sd: list[float]) -> list[tuple[int, int]]:
+    """The optimal label's pairs of 0-based ranks (0, 1), (2, 3), ...
+
+    The leading pairs of the sorted values ``sd`` that admit a block, up
+    to the first that does not.
+    """
+    pairs, a = [], 0
+    while a + 1 < len(sd) and _pair_signs(sd[a], sd[a + 1]):
+        pairs.append((a, a + 1))
+        a += 2
+    return pairs
 
 
 def _optimal_subsets(pairs, order) -> list[tuple[tuple[int, ...], int]]:
@@ -179,42 +189,53 @@ def _flags(sd: list[float], k: int) -> tuple[str, ...]:
     return tuple(flags)
 
 
-def _minimize(params: DiagParams, left=None, right=None) -> MinimizerSet:
-    """Minimizer set of W(.; diag(params.d)) in the frames (left, right).
+def _minimize(dv: list[float], order, left=None, right=None) -> MinimizerSet:
+    """Minimizer set of W(.; diag(dv)) in the frames (left, right).
 
-    See ``critical.RotationFamily`` for the frames.
+    ``dv`` holds Python floats in user order, and ``order`` maps ranks to
+    0-based user indices, sorting ``dv`` descending.  A full matrix of size n <= 3 keeps its one or two
+    minimizers in a ``_SmallRotations``, anything else in a
+    ``critical.RotationFamily`` (see there for the frames).
     """
-    k = optimal_k(params)
-    flags = _flags(params.sorted_d.tolist(), k)
-    # the optimal label: the k leading rank pairs, each written larger value
-    # first, and every subset with det +1
-    order = params.order.tolist()
-    dv = params.d.tolist()
-    leading = [(2 * p, 2 * p + 1) for p in range(k)]
-    pairs = [(order[a], order[b], 1) for a, b in leading]
-    rotations = RotationFamily([1.0] * len(dv), pairs, dv, left, right)
+    sd = [dv[i] for i in order]
+    leading = _leading_pairs(sd)
+    k = len(leading)
+    if left is not None and len(dv) <= 3:
+        rotations = _SmallRotations(left, sd, right, k)
+    else:
+        # the optimal label: the k leading rank pairs, each written larger
+        # value first, and every subset with det +1
+        pairs = [(order[a], order[b], 1) for a, b in leading]
+        rotations = RotationFamily([1.0] * len(dv), pairs, dv, left, right)
     subsets = _optimal_subsets(leading, order)
     return MinimizerSet(
         k=k,
         rotations=rotations,
         reduced_energy=_label_value(subsets, dv),
         cos_alphas=rotations.cosines,
-        flags=flags,
+        flags=_flags(sd, k),
         _subsets=subsets,
     )
 
 
 class _SmallRotations(Sequence):
-    """The one or two minimizers of an n x n matrix F = V S W^T, n <= 3.
+    """The one or two minimizers of an n x n matrix F = V diag(s) W^T, n <= 3.
 
-    As in ``critical.RotationFamily``, minimizer m is V C W^T plus, with
-    angle sign (-1)^m, ``delta`` = V_P O_P W^T, the leading pair's
-    off-diagonal part; without a pair it is V W^T.  Each read returns a
-    fresh array.
+    As in ``critical.RotationFamily``'s frame case, minimizer m is V C W^T
+    plus, with angle sign (-1)^m, ``delta`` = V_P O_P W^T, the leading
+    pair's off-diagonal part, where C = diag(c, c, 1) and O_P W^T has the
+    rows -sin a (W^T)_1 and sin a (W^T)_0; without a pair it is V W^T.
+    Each read returns a fresh array.
     """
 
-    def __init__(self, base: np.ndarray, delta: np.ndarray | None):
-        self._base, self._delta = base, delta
+    def __init__(self, v: np.ndarray, s: list[float], wh: np.ndarray, k: int):
+        if k:
+            c, sin = _block_cos_sin(s[0], s[1], 1)
+            self.cosines = (c,)
+            self._base = (v * np.array([c, c, 1.0][: len(s)])) @ wh
+            self._delta = v[:, :2] @ (wh[1::-1] * np.array([[-sin], [sin]]))
+        else:
+            self.cosines, self._base, self._delta = (), v @ wh, None
 
     def __len__(self) -> int:
         return 1 if self._delta is None else 2
@@ -231,32 +252,6 @@ class _SmallRotations(Sequence):
         if self._delta is None:
             return self._base.copy()
         return self._base - self._delta if m else self._base + self._delta
-
-
-def _small_minimize(v: np.ndarray, sv: list[float], wh: np.ndarray) -> MinimizerSet:
-    """Minimizer set of F = V diag(sv) W^T, n <= 3, with sv sorted descending."""
-    n = len(sv)
-    k = 1 if n > 1 and _pair_signs(sv[0], sv[1]) else 0
-    flags = _flags(sv, k)
-    subsets = _optimal_subsets([(0, 1)] if k else [], range(n))
-    if k:
-        c, s = _block_cos_sin(sv[0], sv[1], 1)
-        cos_alphas = (c,)
-        # the products of RotationFamily's frame case, so that the two
-        # agree: C = diag(c, c, 1), and O_P W^T has the rows -sin a (W^T)_1
-        # and sin a (W^T)_0
-        base = (v * np.array([c, c, 1.0][:n])) @ wh
-        delta = v[:, :2] @ (wh[1::-1] * np.array([[-s], [s]]))
-    else:
-        cos_alphas, base, delta = (), v @ wh, None
-    return MinimizerSet(
-        k=k,
-        rotations=_SmallRotations(base, delta),
-        reduced_energy=_label_value(subsets, sv),
-        cos_alphas=cos_alphas,
-        flags=flags,
-        _subsets=subsets,
-    )
 
 
 def rpolar_diag(d) -> MinimizerSet:
@@ -300,7 +295,7 @@ def rpolar_diag(d) -> MinimizerSet:
                 "not characterized for this sign pattern"
             )
         dv = np.abs(dv)
-    ms = _minimize(DiagParams(d=dv, order=np.argsort(-dv, kind="stable")), right=signs)
+    ms = _minimize(dv.tolist(), np.argsort(-dv, kind="stable").tolist(), right=signs)
     return ms if signs is None else replace(ms, flags=ms.flags + ("reflected",))
 
 
@@ -313,15 +308,13 @@ def rpolar_full(f) -> MinimizerSet:
     absolute rotation V R W^T = Q W R W^T.  The reduced energy is
     unchanged.  When F has repeated singular values the eigenbasis W is not
     unique; the returned rotations are representatives and the set is
-    flagged "non_isolated".  At n <= 3 (so k <= 1) the set is built
-    directly from the SVD, with the same results.
+    flagged "non_isolated".  At n <= 3 (so k <= 1) the one or two
+    rotations are built directly from the SVD, with the same results.
     """
     v, s, wh = _svd_polar(as_matrix(f))
     # singular values come sorted, finite and positive (_svd_polar rejects
     # rank deficiency), so they need no validation or sorting
-    if s.size <= 3:
-        return _small_minimize(v, s.tolist(), wh)
-    return _minimize(DiagParams(d=s, order=np.arange(s.size)), v, wh.T)
+    return _minimize(s.tolist(), range(s.size), v, wh)
 
 
 def rpolar_classical(f, mu: float, mu_c: float) -> np.ndarray:
@@ -357,7 +350,7 @@ def _overlapping(pairs: list[tuple[int, int]]):
     return None
 
 
-def _disentangle(pairs: list[tuple[int, int]], sd: np.ndarray) -> list[tuple[int, int]]:
+def _disentangle(pairs: list[tuple[int, int]], sd: list[float]) -> list[tuple[int, int]]:
     # Replace each interleaving or nested pair of blocks (0-based ranks) by
     # the sorted pairing {p1,p2}, {p3,p4}; the second block degenerates to
     # singletons when it admits no block.  Every rewrite strictly lowers
@@ -404,18 +397,19 @@ def scheme_minimize(start: PartitionLabel, d) -> SchemeTrace:
     # the start's pairs in 0-based ranks (params.order maps ranks to user
     # indices, its inverse back), ordered by smaller rank
     rank = np.argsort(params.order).tolist()
+    sd = params.sorted_d.tolist()
     untangled = _disentangle(
-        sorted(tuple(sorted(rank[i - 1] for i in s.indices)) for s in start.pairs()),
-        params.sorted_d,
+        sorted(tuple(sorted(rank[i - 1] for i in s.indices)) for s in start.pairs()), sd
     )
     # Shift moves the (non-overlapping) blocks to the leading rank pairs
     # (0, 1), (2, 3), ...; sums only grow, so feasibility and monotonicity
     # are preserved.  Then every block sits at a leading position and
     # admits a block, so exhaust, joining singletons, continues the leading
-    # run to optimal_k.
+    # run to optimal_k.  The p-th untangled pair has ranks of at least 2p
+    # and 2p + 1, so the greedy run holds a pair for each untangled one.
     order = params.order.tolist()
-    leading = [(2 * p, 2 * p + 1) for p in range(params.n // 2)]
-    for pairs in (untangled, leading[: len(untangled)], leading[: optimal_k(params)]):
+    leading = _leading_pairs(sd)
+    for pairs in (untangled, leading[: len(untangled)], leading):
         labels.append(_subsets_label(_optimal_subsets(pairs, order)))
     values += [critical_value(label, params) for label in labels[1:]]
     names = ("sign-flip", "disentangle", "shift", "exhaust")

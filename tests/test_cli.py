@@ -210,6 +210,13 @@ class TestCriticalCmd:
         code, _, _ = run(capsys, "critical", "0.9,0.5", "--label", "{1,2}+")
         assert code == EXIT_INFEASIBLE
 
+    # an index below 1, a repeated index and indices that skip 2
+    @pytest.mark.parametrize("label", ["{0}+,{1}+,{2}+", "{1,1}+,{2}+,{3}+", "{1}+,{3}+,{4}+"])
+    def test_malformed_label_infeasible(self, label, capsys):
+        code, out, err = run(capsys, "critical", "3,2,1", "--label", label)
+        assert code == EXIT_INFEASIBLE
+        assert out == "" and err.count("\n") == 1 and err.startswith("error:")
+
     def test_first_value_is_reduced_energy(self, capsys):
         rng = np.random.default_rng(11)
         for _ in range(15):

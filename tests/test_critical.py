@@ -81,6 +81,8 @@ class TestEnergy:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             rp.energy(np.eye(2), [1.0, 2.0, 3.0])
+        with pytest.raises(DimensionMismatch):
+            rp.energy(np.ones((2, 3)), [1.0, 2.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_values_rejected(self, bad):
@@ -122,6 +124,10 @@ class TestEnergyWeighted:
     def test_negative_weights_rejected(self):
         with pytest.raises(InvalidWeights):
             rp.energy_weighted(np.eye(2), np.eye(2), -1.0, 0.0)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            rp.energy_weighted(np.eye(2), np.eye(3), 1.0, 0.0)
 
     @pytest.mark.parametrize("mu, mu_c", [(np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0), (1.0, np.inf)])
     def test_non_finite_weights_rejected(self, mu, mu_c):
@@ -329,8 +335,10 @@ class TestEnumerate:
             next(rp.enumerate_critical(10.0 + 7.0 * np.arange(11)))
 
     def test_ties_warn(self):
-        with pytest.warns(TiesNotStrictWarning):
+        with pytest.warns(TiesNotStrictWarning) as record:
             list(rp.enumerate_critical([2.0, 2.0]))
+        # the warning points at the caller, not into the package
+        assert [w.filename for w in record] == [__file__]
 
     def test_points_equal_realize_bitwise(self):
         d = np.array([4.0, 0.3, 2.6, 0.5, 1.9])
@@ -412,8 +420,9 @@ class TestCriticalTable:
 
     def test_ties_warn_and_match(self):
         d = np.array([2.0, 2.0, 1.0, 3.5])
-        with pytest.warns(TiesNotStrictWarning):
+        with pytest.warns(TiesNotStrictWarning) as record:
             table = _critical_table(d)
+        assert [w.filename for w in record] == [__file__]
         assert [table.label(row) for row in table.rows()] == list(reference_labels(d))
 
     def test_guard(self):
@@ -452,6 +461,18 @@ class TestLabelJson:
         assert data["subsets"][0] == {"idx": [1], "det": 1, "angle": 1}
         again = PartitionLabel.from_dict(data)
         assert again == WORKED_START
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PartitionLabel(subsets=()),
+            lambda: PartitionLabel.from_dict({"subsets": [{"idx": [1], "det": 2}]}),
+        ],
+        ids=["empty", "det-2"],
+    )
+    def test_malformed_rejected(self, make):
+        with pytest.raises(InfeasibleLabel):
+            make()
 
     def test_parity(self):
         assert WORKED_START.det_parity == -1

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import rpolar as rp
-from rpolar.errors import Degenerate, DimensionMismatch, NonInvertibleOrReflective, NotSkew
+from rpolar.errors import (
+    Degenerate,
+    DimensionMismatch,
+    NonInvertibleOrReflective,
+    NotSkew,
+    RpolarError,
+)
 from util import is_rotation
 
 RNG = np.random.default_rng(20240817)
@@ -114,6 +120,15 @@ class TestPolar:
         with pytest.raises(NonInvertibleOrReflective):
             rp.polar_decompose(np.diag([1.0, -2.0]))
 
+    @pytest.mark.parametrize("scale", [1e-100, 1e150])
+    def test_det_sign_at_extreme_scale(self, scale):
+        # det F of n >= 4 underflows to 0 or overflows, its sign does not
+        f = scale * (rp.random_rotation(5, 3) @ np.diag([4.0, 3.0, 2.0, 1.0, 0.5]))
+        pf = rp.polar_decompose(f)
+        np.testing.assert_allclose(pf.singular_values, scale * np.array([4.0, 3.0, 2.0, 1.0, 0.5]))
+        with pytest.raises(NonInvertibleOrReflective):
+            rp.polar_decompose(f @ np.diag([1.0, 1.0, 1.0, 1.0, -1.0]))
+
     def test_rank_deficient_rejected(self):
         with pytest.raises(Degenerate):
             rp.polar_decompose(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -176,6 +191,10 @@ class TestRandomRotation:
 
     def test_distinct_seeds_differ(self):
         assert not np.array_equal(rp.random_rotation(3, 1), rp.random_rotation(3, 2))
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(RpolarError):
+            rp.random_rotation(0, 0)
 
 
 class TestAsRotation:

@@ -307,6 +307,9 @@ class TestIntegrateFlow:
     def test_step_too_large(self):
         with pytest.raises(StepTooLarge):
             rp.integrate_flow(planar(0.3), [3.0, 1.0], step=5.0, t_end=50.0)
+        # n >= 4 steps through the general loop, not the closed form
+        with pytest.raises(StepTooLarge):
+            rp.integrate_flow(rp.random_rotation(4, 0), [40, 30, 20, 10], step=0.5, t_end=10)
 
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rpolar as rp
-from rpolar.critical import BOUNDARY_TOL, DiagParams, PartitionLabel, SubsetLabel, _pair_signs
+from rpolar.critical import (
+    BOUNDARY_TOL,
+    PartitionLabel,
+    RotationFamily,
+    SubsetLabel,
+    _pair_signs,
+)
 from rpolar.errors import (
     Degenerate,
     DegenerateD,
@@ -14,7 +20,6 @@ from rpolar.errors import (
     NonInvertibleOrReflective,
     TiesNotStrictWarning,
 )
-from rpolar.relaxed import _minimize
 from util import is_rotation, label_of, random_scheme_start
 
 RNG = np.random.default_rng(271828)
@@ -637,9 +642,12 @@ class TestLazyRotations:
 
 
 def _general_path(f):
-    """``rpolar_full``'s construction at n >= 4, run on the same SVD."""
+    """k, flags, label, cosines and value of ``rpolar_diag`` on the singular
+    values, and the rotations of the frame family on the same SVD."""
     v, s, wh = np.linalg.svd(f)
-    return _minimize(DiagParams(d=s, order=np.arange(s.size)), v, wh.T)
+    ref = rp.rpolar_diag(s)
+    pairs = [(2 * p, 2 * p + 1, 1) for p in range(ref.k)]
+    return ref, RotationFamily([1.0] * s.size, pairs, s.tolist(), v, wh)
 
 
 def _small_inputs():
@@ -661,19 +669,20 @@ def _small_inputs():
 
 
 class TestSmallFull:
-    """``rpolar_full`` at n <= 3 takes a direct path that gives the general
-    path's results."""
+    """``rpolar_full`` at n <= 3 builds its rotations directly from the SVD:
+    the frame family's rotations, with ``rpolar_diag``'s results on the
+    singular values."""
 
     @pytest.mark.filterwarnings("ignore::rpolar.errors.TiesNotStrictWarning")
     def test_agrees_with_general_path(self):
         flags = set()
         for f in _small_inputs():
-            ms, ref = rp.rpolar_full(f), _general_path(f)
+            ms, (ref, family) = rp.rpolar_full(f), _general_path(f)
             assert (ms.k, ms.flags, ms.label) == (ref.k, ref.flags, ref.label)
             assert [c.hex() for c in ms.cos_alphas] == [c.hex() for c in ref.cos_alphas]
             assert ms.reduced_energy.hex() == ref.reduced_energy.hex()
-            assert len(ms.rotations) == len(ref.rotations)
-            for r, q in zip(ms.rotations, ref.rotations):
+            assert len(ms.rotations) == len(family)
+            for r, q in zip(ms.rotations, family):
                 assert np.max(np.abs(r - q)) <= 1e-15
             flags.update(ms.flags)
         assert flags == {"boundary_case", "non_isolated"}
